@@ -449,11 +449,12 @@ fn run_minimize(dag: &Dag, args: &Args) -> Result<(), CliError> {
     let json = args.json;
     let grid = args.grid;
     let minimum = report.minimum;
+    let verdict = verdict(&report);
     match report.into_strategy() {
         Some(strategy) => {
             let p = minimum.expect("a strategy certifies its budget");
             if !json {
-                println!("smallest certified budget: {p} pebbles");
+                println!("budget: {p} pebbles, {verdict}");
                 report_strategy(dag, &strategy, grid);
             }
             Ok(())
@@ -537,7 +538,7 @@ fn run_batch(args: &Args) -> Result<(), CliError> {
         let status = match session.stop_reason {
             Some(reason) => format!("stopped ({reason})"),
             None => match session.minimum {
-                Some(minimum) => format!("minimum {minimum}"),
+                Some(minimum) => format!("budget {minimum}, {}", verdict(session)),
                 None => "nothing certified".to_string(),
             },
         };
@@ -724,6 +725,16 @@ fn run_frontier(dag: &Dag, args: &Args) -> Result<(), CliError> {
     };
     print!("{}", render_frontier(points, dag));
     Ok(())
+}
+
+/// Whether a report's budget is proven optimal or only the best found
+/// above its certified floor.
+fn verdict(report: &Report) -> String {
+    if report.optimal {
+        "proven optimal".to_string()
+    } else {
+        format!("best found (floor {})", report.floor)
+    }
 }
 
 fn report_strategy(dag: &Dag, strategy: &Strategy, grid: bool) {

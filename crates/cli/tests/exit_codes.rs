@@ -233,6 +233,7 @@ fn json_report_carries_the_schema_keys() {
         "\"engine\":",
         "\"minimum\":4",
         "\"floor\":",
+        "\"optimal\":",
         "\"workers\":[",
         "\"events_emitted\":",
     ] {
@@ -248,5 +249,21 @@ fn probe_events_stream_to_stderr() {
     assert_eq!(output.status.code(), Some(0), "{}", stderr(&output));
     let stderr = stderr(&output);
     assert!(stderr.contains("trying budget"), "{stderr}");
-    assert!(stderr.contains("certified minimum budget: 4"), "{stderr}");
+    assert!(
+        stderr.contains("search finished: best budget 4"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn minimize_says_whether_its_budget_is_proven_optimal() {
+    // The incremental engine refutes budget 3 over the whole step range,
+    // so 4 is proven optimal, not just the best budget found.
+    let output = revpebble(&["minimize", "c17", "--incremental", "--timeout", "60"]);
+    assert_eq!(output.status.code(), Some(0), "{}", stderr(&output));
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        stdout.contains("budget: 4 pebbles, proven optimal"),
+        "{stdout}"
+    );
 }

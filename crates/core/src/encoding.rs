@@ -14,10 +14,13 @@
 //!   edge `w → v`, i.e. four clauses per edge per transition;
 //! - **cardinality**: `Σ_v p_{v,i} ≤ P` per time point, via the encodings
 //!   of [`revpebble_sat::card`]. With [`BoundMode::Assumed`] the bound is
-//!   not encoded at all: every time point keeps a persistent unary counter
-//!   ([`revpebble_sat::card::IncrementalTotalizer`]) and each query
-//!   *assumes* `!out[P]`, so one encoding serves every budget `P` — the
-//!   basis of the incremental pebble-minimization search.
+//!   not fixed in the clauses: every time point keeps a persistent unary
+//!   counter ([`revpebble_sat::card::IncrementalTotalizer`]), one selector
+//!   variable `s_P` per budget activates `¬s_P ∨ ¬out_i[P]` at every time
+//!   point `i`, and each query *assumes* the single literal `s_P`. One
+//!   encoding serves every budget `P` — the basis of the incremental
+//!   pebble-minimization search — and a query costs one assumption
+//!   however many steps are encoded.
 //!
 //! Two move semantics are supported: [`MoveMode::Parallel`] is the paper's
 //! plain encoding (several nodes may flip in one transition);
@@ -47,11 +50,28 @@ pub enum BoundMode {
     #[default]
     Baked,
     /// Every time point gets a persistent [`IncrementalTotalizer`] whose
-    /// unary outputs stay unconstrained; each query *assumes* `!out[P]`
-    /// instead. One encoding (and one solver with all its learnt clauses,
-    /// activities and saved phases) then serves every budget — the engine
-    /// behind [`PebbleSolver::resolve_with_budget`] and the incremental
+    /// unary outputs stay unconstrained. Budget `P` is switched on by one
+    /// selector variable `s_P` through the clauses `¬s_P ∨ ¬out_i[P]`, one
+    /// per time point `i ≥ 1`, and each query *assumes* `s_P`. One
+    /// encoding (and one solver with all its learnt clauses, activities
+    /// and saved phases) then serves every budget — the engine behind
+    /// [`PebbleSolver::resolve_with_budget`] and the incremental
     /// [`minimize`] search.
+    ///
+    /// - The selectors `s_0 … s_{T−1}` (`T` = node count, or total weight
+    ///   in weighted mode) are created with the encoding, so variable
+    ///   numbering never depends on which budgets get probed: verbatim
+    ///   clause sharing between encodings with equal options relies on it.
+    /// - A budget's clauses are added the first time a query assumes it,
+    ///   and for every time point added after that.
+    /// - The selector is the query's first assumption, so the solver keeps
+    ///   its decision level, and every counter output it forced, from one
+    ///   query at that budget to the next (see [`Solver::solve_with`]):
+    ///   deepening the step count re-asserts nothing.
+    /// - Selectors occur only negatively in clauses; every selector false
+    ///   satisfies them all. A learnt clause is therefore sound for any
+    ///   rival that shares the variables it names, whichever budgets that
+    ///   rival has activated.
     ///
     /// [`PebbleSolver::resolve_with_budget`]: crate::solver::PebbleSolver::resolve_with_budget
     /// [`minimize`]: crate::solver::minimize
@@ -109,10 +129,17 @@ pub struct PebbleEncoding<'a> {
     /// The budget the counters currently enforce is `options.max_pebbles`
     /// — the single source of truth [`set_bound`](Self::set_bound) writes.
     counters: Vec<Option<IncrementalTotalizer>>,
-    /// The budget assumptions passed to the last [`solve_at`](Self::solve_at)
-    /// call, kept so an UNSAT answer's core can be classified as
+    /// [`BoundMode::Assumed`]: the budget selector `s_p` at index `p`, for
+    /// every budget a counter can exceed (`p` below the node count, or
+    /// below the total weight in weighted mode). Empty when baked.
+    selectors: Vec<Var>,
+    /// `active[p]`: the clauses `¬s_p ∨ ¬out_i[p]` are in the solver, for
+    /// every encoded time point and every one added later.
+    active: Vec<bool>,
+    /// The selector the last [`solve_at`](Self::solve_at) call assumed,
+    /// kept so an UNSAT answer's core can be classified as
     /// budget-dependent or budget-free.
-    last_budget_assumptions: Vec<Lit>,
+    last_selector: Option<Lit>,
     /// Whether pebble variables are registered under their canonical
     /// shared ids as the encoding grows (see
     /// [`enable_prefix_sharing`](Self::enable_prefix_sharing)).
@@ -146,7 +173,9 @@ impl<'a> PebbleEncoding<'a> {
             vars: Vec::new(),
             weights: dag.node_ids().map(|n| dag.node(n).weight).collect(),
             counters: Vec::new(),
-            last_budget_assumptions: Vec::new(),
+            selectors: Vec::new(),
+            active: Vec::new(),
+            last_selector: None,
             prefix_share: false,
             cancel: None,
         };
@@ -155,6 +184,18 @@ impl<'a> PebbleEncoding<'a> {
         for v in dag.node_ids() {
             let lit = encoding.lit(0, v);
             encoding.solver.add_clause([!lit]);
+        }
+        if options.bound_mode == BoundMode::Assumed {
+            // Every selector now, whichever budgets get probed: variable
+            // numbering must not depend on probe order, or verbatim clause
+            // sharing between encodings with equal options breaks.
+            let total = if options.weighted {
+                encoding.weights.iter().map(|&w| w as usize).sum()
+            } else {
+                dag.num_nodes()
+            };
+            encoding.selectors = encoding.solver.new_vars(total);
+            encoding.active = vec![false; total];
         }
         encoding
     }
@@ -235,11 +276,12 @@ impl<'a> PebbleEncoding<'a> {
     /// the same for any two encodings that agree on
     /// [`move_mode`](EncodingOptions::move_mode) and
     /// [`weighted`](EncodingOptions::weighted): the move axioms are
-    /// written on pebble variables only, the budget/final constraints are
-    /// assumption-activated, and every cardinality encoding enforces the
-    /// same `≤ k` semantics. A learnt clause confined to pebble variables
-    /// is entailed by that common projection (learnt clauses never depend
-    /// on assumptions), hence sound for every such rival — even one
+    /// written on pebble variables only, the final state is assumed, the
+    /// budget clauses are satisfied by every selector being false, and
+    /// every cardinality encoding enforces the same `≤ k` semantics. A
+    /// learnt clause confined to pebble variables is entailed by that
+    /// common projection (learnt clauses never depend on assumptions),
+    /// hence sound for every such rival — even one
     /// encoding *more* time points, because a step-`k` instance extends
     /// conservatively to `k' > k`. Workers differing in `move_mode` or
     /// `weighted` encode genuinely different transition relations and
@@ -272,16 +314,13 @@ impl<'a> PebbleEncoding<'a> {
 
     /// Whether the last [`solve_at`](Self::solve_at) refutation holds at
     /// *every* pebble budget: the solver's unsat core is non-empty and
-    /// names no budget assumption. Because a step-`k` instance extends
-    /// conservatively to any `k' > k` and solvability is monotone in the
-    /// step count, such a refutation certifies that **no** strategy with
-    /// ≤ `k` steps exists regardless of the budget.
+    /// does not name the budget selector. Because a step-`k` instance
+    /// extends conservatively to any `k' > k` and solvability is monotone
+    /// in the step count, such a refutation certifies that **no** strategy
+    /// with ≤ `k` steps exists regardless of the budget.
     pub fn last_refutation_is_budget_free(&self) -> bool {
         let core = self.solver.unsat_core();
-        !core.is_empty()
-            && core
-                .iter()
-                .all(|lit| !self.last_budget_assumptions.contains(lit))
+        !core.is_empty() && self.last_selector.is_none_or(|s| !core.contains(&s))
     }
 
     fn push_time_point(&mut self) {
@@ -312,11 +351,14 @@ impl<'a> PebbleEncoding<'a> {
             .collect();
         match self.options.bound_mode {
             BoundMode::Assumed => {
-                // Full unary counter, bound chosen per query by assumption.
-                self.counters.push(Some(IncrementalTotalizer::new_weighted(
-                    &mut self.solver,
-                    &items,
-                )));
+                // Full unary counter, bound chosen per query by selector.
+                let counter = IncrementalTotalizer::new_weighted(&mut self.solver, &items);
+                for p in (0..self.active.len()).filter(|&p| self.active[p]) {
+                    let bound = counter.at_most_assumption(p).expect("p < total weight");
+                    self.solver
+                        .add_clause([self.selectors[p].negative(), bound]);
+                }
+                self.counters.push(Some(counter));
             }
             BoundMode::Baked => {
                 self.counters.push(None);
@@ -398,16 +440,31 @@ impl<'a> PebbleEncoding<'a> {
     }
 
     /// The budget assumptions activating "≤ `p` pebbles" (weight units in
-    /// weighted mode) at every encoded time point: one `!out[p]` literal
-    /// per per-time-point counter that can exceed `p`. Empty in
-    /// [`BoundMode::Baked`] (the bound is already in the clause database)
-    /// and for budgets no configuration can exceed.
+    /// weighted mode) at every encoded time point: the one selector `s_p`.
+    /// Empty in [`BoundMode::Baked`] (the bound is already in the clause
+    /// database) and for budgets no configuration can exceed.
+    /// [`solve_at`](Self::solve_at) adds the selector's clauses the first
+    /// time it assumes it.
     pub fn bound_assumptions(&self, p: usize) -> Vec<Lit> {
-        self.counters
-            .iter()
-            .flatten()
-            .filter_map(|counter| counter.at_most_assumption(p))
+        self.selectors
+            .get(p)
+            .map(|s| s.positive())
+            .into_iter()
             .collect()
+    }
+
+    /// Adds `¬s_p ∨ ¬out_i[p]` for every encoded time point `i ≥ 1`, once;
+    /// [`push_time_point`](Self::push_time_point) covers later ones.
+    fn activate(&mut self, p: usize) {
+        if self.active.get(p) != Some(&false) {
+            return;
+        }
+        self.active[p] = true;
+        let selector = self.selectors[p].negative();
+        for counter in self.counters.iter().flatten() {
+            let bound = counter.at_most_assumption(p).expect("p < total weight");
+            self.solver.add_clause([selector, bound]);
+        }
     }
 
     /// Switches the budget that [`solve_at`](Self::solve_at) assumes from
@@ -442,16 +499,17 @@ impl<'a> PebbleEncoding<'a> {
         time_budget: Option<std::time::Duration>,
     ) -> SolveResult {
         self.extend_to(k);
-        // Budget assumptions go first: they are the strongest pruners, and
-        // assumption-order is decision-order, so the counter outputs are
-        // pinned before the final-state literals branch.
+        // The budget selector goes first: it is the strongest pruner, and
+        // assumption order is decision order, so the counter outputs are
+        // pinned before the final-state literals branch. Being first also
+        // lets the solver keep its decision level, with every counter
+        // output it forced, from one query at this budget to the next.
         let mut assumptions = Vec::new();
-        if self.options.bound_mode == BoundMode::Assumed {
-            if let Some(p) = self.options.max_pebbles {
-                assumptions = self.bound_assumptions(p);
-            }
+        if let Some(p) = self.options.max_pebbles {
+            self.activate(p);
+            assumptions = self.bound_assumptions(p);
         }
-        self.last_budget_assumptions = assumptions.clone();
+        self.last_selector = assumptions.first().copied();
         assumptions.extend(self.final_assumptions(k));
         self.solver.set_conflict_budget(conflict_budget);
         // The query's deadline rides a child of the ambient token, so one

@@ -5,8 +5,10 @@
 //! pebble budget — and proves infeasibility when the target is
 //! unreachable, something the SAT loop can only do per step bound. It is
 //! exponential in the number of nodes and guarded accordingly; its role is
-//! ground truth for tests and tiny designs, cross-validating the SAT
-//! engine (`tests/prop_pipeline.rs`, `exact` module tests).
+//! ground truth for tests and tiny designs: the workspace proptest
+//! `minimize_agrees_with_the_exact_oracle` (`tests/prop_pipeline.rs`)
+//! checks the default minimize search's floors and proven minima
+//! against [`exact_min_pebbles`] on random DAGs.
 
 use std::collections::{HashMap, VecDeque};
 

@@ -195,7 +195,7 @@ impl fmt::Display for ProbeEvent {
                 "worker {worker}: clause sharing imported={imported} exported={exported}"
             ),
             ProbeEvent::BudgetCertified { minimum: Some(p) } => {
-                write!(f, "certified minimum budget: {p}")
+                write!(f, "search finished: best budget {p}")
             }
             ProbeEvent::BudgetCertified { minimum: None } => {
                 write!(f, "no budget certified")
@@ -558,6 +558,11 @@ pub struct Report {
     /// relative for minimize engines (see [`crate::sharing`]), the
     /// structural lower bound otherwise.
     pub floor: usize,
+    /// Whether [`minimum`](Self::minimum) is proven optimal: it equals
+    /// the [`floor`](Self::floor). `false` means the run found that
+    /// budget but did not refute every smaller one (the best found
+    /// before time or the step cap ran out).
+    pub optimal: bool,
     /// One summary per worker, in configuration order.
     pub workers: Vec<WorkerSummary>,
     /// Events delivered over the session's channel (including the
@@ -626,9 +631,10 @@ impl Report {
     /// output stays valid JSON even for hostile names arriving over the
     /// wire).
     ///
-    /// Keys: `engine`, `minimum` (number or `null`), `floor`, `workers`
-    /// (array of per-worker objects), `events_emitted`, `probes`,
-    /// `strategy` (object or `null`), and for frontier runs `frontier`.
+    /// Keys: `engine`, `minimum` (number or `null`), `floor`, `optimal`,
+    /// `workers` (array of per-worker objects), `events_emitted`,
+    /// `probes`, `strategy` (object or `null`), and for frontier runs
+    /// `frontier`.
     pub fn to_json(&self) -> String {
         use revpebble_graph::json::json_escape;
         use std::fmt::Write as _;
@@ -641,6 +647,7 @@ impl Report {
             None => out.push_str(",\"minimum\":null"),
         }
         let _ = write!(out, ",\"floor\":{}", self.floor);
+        let _ = write!(out, ",\"optimal\":{}", self.optimal);
         out.push_str(",\"workers\":[");
         for (index, worker) in self.workers.iter().enumerate() {
             if index > 0 {
@@ -1268,6 +1275,7 @@ fn run_with_runtime(
                 engine: plan.engine,
                 minimum: hit.minimum,
                 floor: hit.floor,
+                optimal: hit.minimum == Some(hit.floor),
                 workers: Vec::new(),
                 events_emitted: 1,
                 stop_reason: None,
@@ -1394,6 +1402,7 @@ fn run_with_runtime(
         engine: plan.engine,
         minimum,
         floor,
+        optimal: minimum == Some(floor),
         retries: workers.iter().map(|worker| worker.retries).sum(),
         workers,
         events_emitted,
@@ -1523,6 +1532,7 @@ impl SessionHandle {
             engine: self.engine,
             minimum: None,
             floor: 0,
+            optimal: false,
             workers: Vec::new(),
             events_emitted: 0,
             stop_reason: Some(reason),
@@ -2204,6 +2214,7 @@ mod tests {
             engine: Engine::Single,
             minimum: Some(4),
             floor: 2,
+            optimal: false,
             workers: vec![WorkerSummary {
                 config: hostile.to_owned(),
                 probes: 1,

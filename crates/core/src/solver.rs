@@ -444,7 +444,7 @@ impl<'a> PebbleSolver<'a> {
             let p = self.options.encoding.max_pebbles.unwrap_or(usize::MAX);
             self.shared.record_refuted(p, k);
             // When the budget is assumption-activated and the unsat core
-            // names no budget assumption, the refutation holds at *every*
+            // omits the budget selector, the refutation holds at *every*
             // budget: record it universally so no worker at any budget
             // re-proves `k' ≤ k` again. (In `Baked` mode the budget lives
             // in clauses, so core inspection proves nothing.)

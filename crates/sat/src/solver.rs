@@ -34,6 +34,20 @@ use crate::heap::VarHeap;
 use crate::pool::{ClauseBatch, Publish, SharedClausePool};
 use crate::types::{LBool, Lit, Var};
 
+/// Learnt clauses with more level-1 literals than this replace them by
+/// the negated level-1 decision (sound: each of them follows from that
+/// decision). Under a kept budget selector those literals are the
+/// per-time-point budget outputs, so such clauses grow with the step
+/// count and every conflict that touches them pays for it; collapsing
+/// them keeps conflict analysis O(1) in the step count. Shorter runs are
+/// kept: budget outputs also hold under every tighter budget, so those
+/// clauses carry over to later probes, which the selector literal does
+/// not. On the `minimize` benchmark (2 vCPUs), collapsing every run of
+/// two or more cut throughput by about a third against never collapsing;
+/// a threshold of 32 raised it by 28–48 % in four paired runs, and in one
+/// round 64 and 128 read 11 % and 16 read 31 % below 32.
+const LEVEL_ONE_COLLAPSE: usize = 32;
+
 /// Outcome of a [`Solver::solve`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolveResult {
@@ -536,16 +550,18 @@ impl Solver {
         }
     }
 
-    /// Installs rivals' pooled clauses. Must run at decision level 0 (the
-    /// solver imports at restart boundaries and between queries). Clauses
+    /// Installs rivals' pooled clauses, backtracking to decision level 0
+    /// first (the solver imports at restart boundaries and between
+    /// queries, and a pool never coexists with a kept assumption level,
+    /// so this costs nothing in practice). Clauses
     /// over variables this solver has not created (or, in translated
     /// mode, not mapped) yet — a rival's encoding may have grown further —
     /// are deferred and retried on later imports.
     fn import_shared_clauses(&mut self) {
-        debug_assert_eq!(self.decision_level(), 0);
         let Some(mut endpoint) = self.shared_pool.take() else {
             return;
         };
+        self.cancel_until(0);
         // Stage = previously deferred clauses + everything new in the
         // pool; the two batches swap roles every import, so no per-import
         // (let alone per-clause) allocation survives warmup.
@@ -656,12 +672,15 @@ impl Solver {
     /// unsatisfiable (the solver stays usable but will report `Unsat`).
     ///
     /// Duplicate literals are removed and tautological clauses
-    /// (`x ∨ ¬x ∨ …`) are dropped. Must not be called between
-    /// [`solve`](Self::solve) calls that left assumptions set — clauses may
-    /// only be added at decision level 0, which is always the case when
-    /// using the public API.
+    /// (`x ∨ ¬x ∨ …`) are dropped. Clauses may be added between any two
+    /// [`solve_with`](Self::solve_with) calls, also while the solver keeps
+    /// the first assumption's decision level (see
+    /// [`solve_with`](Self::solve_with)): a clause with two non-false
+    /// literals is watched as is, and one that is unit under the kept
+    /// level propagates at that level. Anything else — a unit over level-0
+    /// facts, or a clause the kept level falsifies — drops the kept level
+    /// and is added at level 0.
     pub fn add_clause(&mut self, lits: impl IntoIterator<Item = Lit>) -> bool {
-        debug_assert_eq!(self.decision_level(), 0);
         if !self.ok {
             return false;
         }
@@ -679,6 +698,12 @@ impl Solver {
                 LBool::False if self.level[lit.var().index()] == 0 => continue,
                 _ => simplified.push(lit),
             }
+        }
+        if self.decision_level() > 0 {
+            if self.attach_above_root(&mut simplified) {
+                return true;
+            }
+            self.cancel_until(0);
         }
         match simplified.len() {
             0 => {
@@ -698,6 +723,38 @@ impl Solver {
                 true
             }
         }
+    }
+
+    /// Installs a clause (free of level-0 literals) at the kept level 1
+    /// when its watches are valid there: two non-false literals, or one
+    /// non-false literal plus a false one. In the second case an
+    /// unassigned literal is enqueued with the clause as its reason
+    /// (propagation runs at the next search); a true one already
+    /// satisfies it, and both watches go unassigned together on
+    /// backtracking, because every false literal sits on level 1 too.
+    /// Returns `false` — nothing installed — for units and for clauses
+    /// the kept level falsifies.
+    fn attach_above_root(&mut self, lits: &mut [Lit]) -> bool {
+        debug_assert_eq!(self.decision_level(), 1, "only level 1 is kept");
+        if lits.len() < 2 {
+            return false;
+        }
+        let mut non_false = 0;
+        for i in 0..lits.len() {
+            if self.value(lits[i]) != LBool::False {
+                lits.swap(non_false, i);
+                non_false += 1;
+            }
+        }
+        if non_false == 0 {
+            return false;
+        }
+        let cref = self.clauses.alloc(lits, false);
+        self.attach(cref);
+        if non_false == 1 && self.value(lits[0]) == LBool::Undef {
+            self.unchecked_enqueue(lits[0], Some(cref));
+        }
+        true
     }
 
     fn attach(&mut self, cref: ClauseRef) {
@@ -912,6 +969,23 @@ impl Solver {
         }
         let mut learnt = minimized;
 
+        // Every level-1 literal follows from the level-1 decision, so a
+        // long run of them resolves down to that decision's negation.
+        // Under a kept budget selector this turns one literal per time
+        // point into a single literal (see `LEVEL_ONE_COLLAPSE`).
+        if let Some(decision) = self.level_one_decision() {
+            let level = &self.level;
+            let on_level_one = learnt[1..]
+                .iter()
+                .filter(|l| level[l.var().index()] == 1)
+                .count();
+            if on_level_one > LEVEL_ONE_COLLAPSE {
+                let uip = learnt[0];
+                learnt.retain(|&l| l == uip || level[l.var().index()] != 1);
+                learnt.push(!decision);
+            }
+        }
+
         // Find the backjump level and move its literal to position 1.
         let backtrack_level = if learnt.len() == 1 {
             0
@@ -1055,10 +1129,11 @@ impl Solver {
     /// Instances below [`SolverConfig::min_learnts`] are untouched, so
     /// short-lived solvers keep their exact single-query behavior.
     ///
-    /// Must be called at decision level 0 (between
-    /// [`solve`](Self::solve) calls).
+    /// Call it between [`solve_with`](Self::solve_with) calls. It drops a
+    /// kept assumption level first (the budget window it serves has
+    /// moved), so it always runs at decision level 0.
     pub fn forget_stale_learnts(&mut self) {
-        debug_assert_eq!(self.decision_level(), 0);
+        self.cancel_until(0);
         if (self.clauses.num_learnt() as f64) < self.config.min_learnts {
             return;
         }
@@ -1111,41 +1186,68 @@ impl Solver {
     /// assumption (decision-level) literals responsible. The result — the
     /// failed assumptions including `p` itself when `p` is an assumption —
     /// lands in [`unsat_core`](Self::unsat_core).
+    ///
+    /// Level 1 is never scanned: everything on it follows from its single
+    /// decision, so reaching any level-1 literal puts that decision in the
+    /// core. This keeps the scan off the (possibly long) propagation tail
+    /// of a kept first assumption.
     fn analyze_final(&mut self, p: Lit) {
         self.conflict_core.clear();
         self.conflict_core.push(!p);
         if self.decision_level() == 0 {
             return;
         }
-        self.seen[p.var().index()] = true;
-        let bottom = self.trail_lim[0];
-        for idx in (bottom..self.trail.len()).rev() {
+        let mut reached_level_one = self.mark_final(p);
+        let top_of_level_one = self.trail_lim.get(1).copied().unwrap_or(self.trail.len());
+        for idx in (top_of_level_one..self.trail.len()).rev() {
             let lit = self.trail[idx];
-            let vi = lit.var().index();
-            if !self.seen[vi] {
+            if !self.seen[lit.var().index()] {
                 continue;
             }
-            match self.reason[vi] {
-                None => {
-                    // A decision below the branching region is an assumption.
-                    self.conflict_core.push(lit);
-                }
+            match self.reason[lit.var().index()] {
+                // A decision below the branching region is an assumption.
+                None => self.conflict_core.push(lit),
                 Some(cref) => {
-                    for &q in &self.clauses.lits(cref)[1..] {
-                        if self.level[q.var().index()] > 0 {
-                            self.seen[q.var().index()] = true;
-                        }
+                    for k in 1..self.clauses.lits(cref).len() {
+                        let q = self.clauses.lits(cref)[k];
+                        reached_level_one |= self.mark_final(q);
                     }
                 }
             }
-            self.seen[vi] = false;
         }
-        self.seen[p.var().index()] = false;
-        // `seen` may still be set for level-bottom literals never reached;
-        // clear defensively.
-        for idx in bottom..self.trail.len() {
-            self.seen[self.trail[idx].var().index()] = false;
+        if reached_level_one {
+            let decision = self
+                .level_one_decision()
+                .expect("a level-1 literal was reached");
+            self.conflict_core.push(decision);
         }
+        for var in self.analyze_clear.drain(..) {
+            self.seen[var.index()] = false;
+        }
+    }
+
+    /// Marks `q` for [`analyze_final`](Self::analyze_final)'s scan when it
+    /// sits above level 1; returns whether it sits on level 1.
+    fn mark_final(&mut self, q: Lit) -> bool {
+        let vi = q.var().index();
+        match self.level[vi] {
+            0 => false,
+            1 => true,
+            _ => {
+                if !self.seen[vi] {
+                    self.seen[vi] = true;
+                    self.analyze_clear.push(q.var());
+                }
+                false
+            }
+        }
+    }
+
+    /// The decision of level 1, when level 1 holds one (and is not a
+    /// dummy level opened for an assumption that was already true).
+    fn level_one_decision(&self) -> Option<Lit> {
+        let lit = *self.trail.get(*self.trail_lim.first()?)?;
+        (self.level[lit.var().index()] == 1).then_some(lit)
     }
 
     /// After a [`SolveResult::Unsat`] from
@@ -1161,12 +1263,23 @@ impl Solver {
     /// Assumptions act like temporary unit clauses: the result is relative
     /// to them and the solver can be reused afterwards with different
     /// assumptions (incremental solving).
+    ///
+    /// Consecutive calls that share their first assumption share its
+    /// work: a decisive call leaves that assumption's decision level, and
+    /// everything it propagated, on the trail, and the next call starts
+    /// from there when its first assumption is the same literal (any other
+    /// call backtracks to level 0 first). This is invisible to callers —
+    /// answers, models and cores are those of a level-0 start — and it is
+    /// off while a clause pool is attached.
     pub fn solve_with(&mut self, assumptions: &[Lit]) -> SolveResult {
         self.stats.solves += 1;
         self.stats.stop_reason = None;
         self.conflict_core.clear();
         if !self.ok {
             return SolveResult::Unsat;
+        }
+        if self.level_one_decision() != assumptions.first().copied() {
+            self.cancel_until(0);
         }
         // Pick up rivals' clauses learnt since the last query (cheap no-op
         // without a pool). May conclude level-0 unsatisfiability.
@@ -1201,7 +1314,15 @@ impl Solver {
                 }
             }
         };
-        self.cancel_until(0);
+        // Keep level 1 when it holds the decision of `assumptions[0]` (not
+        // a dummy level), the clause set is not refuted and no pool is
+        // attached.
+        let keep = self.ok
+            && self.shared_pool.is_none()
+            && assumptions
+                .first()
+                .is_some_and(|&a| self.level_one_decision() == Some(a));
+        self.cancel_until(u32::from(keep));
         self.conflict_budget = None;
         result
     }
@@ -1999,6 +2120,134 @@ mod tests {
             s.model_value(Lit::new(Var::from_index(5), true)),
             Some(true)
         );
+    }
+
+    #[test]
+    fn queries_sharing_the_first_assumption_keep_its_level() {
+        // a → b → c; the level of `a`, with b and c, survives between
+        // queries that assume `a` first, and only those.
+        let mut s = Solver::new();
+        let vars = s.new_vars(4);
+        add(&mut s, &vars, &[-1, 2]);
+        add(&mut s, &vars, &[-2, 3]);
+        let (a, x) = (vars[0].positive(), vars[3].positive());
+        assert_eq!(s.solve_with(&[a, x]), SolveResult::Sat);
+        assert_eq!(s.decision_level(), 1);
+        assert_eq!(s.level_one_decision(), Some(a));
+        assert_eq!(s.value(vars[2].positive()), LBool::True);
+        let before = s.stats().propagations;
+        assert_eq!(s.solve_with(&[a, !x]), SolveResult::Sat);
+        assert_eq!(s.model_value(vars[2].positive()), Some(true));
+        assert_eq!(
+            s.stats().propagations - before,
+            1,
+            "only ¬x propagates; a, b and c stay on the kept level"
+        );
+        assert_eq!(s.solve_with(&[!a]), SolveResult::Sat);
+        assert_eq!(s.level_one_decision(), Some(!a));
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert_eq!(s.decision_level(), 0);
+    }
+
+    #[test]
+    fn clauses_added_at_the_kept_level() {
+        let mut s = Solver::new();
+        let vars = s.new_vars(6);
+        add(&mut s, &vars, &[-1, 2]);
+        let a = vars[0].positive();
+        assert_eq!(s.solve_with(&[a]), SolveResult::Sat);
+        // Unit under the kept level: propagates there, with a reason.
+        add(&mut s, &vars, &[-1, 3]);
+        assert_eq!(s.decision_level(), 1);
+        assert_eq!(s.value(vars[2].positive()), LBool::True);
+        assert_eq!(s.level[2], 1);
+        assert!(s.reason[2].is_some());
+        // Satisfied at the kept level, over a false kept literal: watched.
+        add(&mut s, &vars, &[-2, 3]);
+        // Two open literals: watched.
+        add(&mut s, &vars, &[4, 5]);
+        assert_eq!(s.decision_level(), 1);
+        assert_eq!(s.solve_with(&[a, vars[3].negative()]), SolveResult::Sat);
+        assert_eq!(s.model_value(vars[4].positive()), Some(true));
+        // Falsified by the kept level: dropped to level 0 and added there.
+        add(&mut s, &vars, &[-2, -3]);
+        assert_eq!(s.decision_level(), 0);
+        assert_eq!(s.solve_with(&[a, vars[5].positive()]), SolveResult::Unsat);
+        assert_eq!(s.unsat_core(), &[a]);
+        assert_eq!(s.solve_with(&[a]), SolveResult::Unsat);
+        // A level-0 unit drops the kept level too.
+        assert_eq!(s.solve_with(&[vars[5].positive()]), SolveResult::Sat);
+        assert_eq!(s.decision_level(), 1);
+        add(&mut s, &vars, &[5]);
+        assert_eq!(s.decision_level(), 0);
+        assert_eq!(s.solve_with(&[vars[5].positive()]), SolveResult::Sat);
+        assert_eq!(s.model_value(vars[4].positive()), Some(true));
+    }
+
+    #[test]
+    fn cores_name_the_kept_decision_when_its_level_is_reached() {
+        // a → b, and (¬b ∨ ¬c): assuming a then c fails because of a.
+        let mut s = Solver::new();
+        let vars = s.new_vars(4);
+        add(&mut s, &vars, &[-1, 2]);
+        add(&mut s, &vars, &[-2, -3]);
+        let (a, c, d) = (vars[0].positive(), vars[2].positive(), vars[3].positive());
+        for _ in 0..2 {
+            assert_eq!(s.solve_with(&[a, d, c]), SolveResult::Unsat);
+            let mut core = s.unsat_core().to_vec();
+            core.sort();
+            let mut expected = vec![a, c];
+            expected.sort();
+            assert_eq!(core, expected);
+            assert_eq!(s.decision_level(), 1, "the level of `a` is kept");
+        }
+    }
+
+    #[test]
+    fn a_long_run_of_level_one_literals_collapses_to_the_decision() {
+        // a → x_i for 40 x_i; under d, (¬x… ∨ ¬d ∨ y) and (¬x… ∨ ¬d ∨ ¬y)
+        // conflict. The learnt clause ¬d ∨ ¬x_1 ∨ … ∨ ¬x_40 has 40
+        // literals on level 1, which collapse to ¬a.
+        let n = LEVEL_ONE_COLLAPSE + 8;
+        let mut s = Solver::new();
+        let a = s.new_var().positive();
+        let d = s.new_var().positive();
+        let y = s.new_var().positive();
+        let xs: Vec<Lit> = (0..n).map(|_| s.new_var().positive()).collect();
+        for &x in &xs {
+            s.add_clause([!a, x]);
+        }
+        for last in [y, !y] {
+            s.add_clause(xs.iter().map(|&x| !x).chain([!d, last]));
+        }
+        assert_eq!(s.solve_with(&[a, d]), SolveResult::Unsat);
+        let mut core = s.unsat_core().to_vec();
+        core.sort();
+        assert_eq!(core, vec![a, d]);
+        let learnt: Vec<Vec<Lit>> = s
+            .clauses
+            .iter_learnt_refs()
+            .map(|r| {
+                let mut lits = s.clauses.lits(r).to_vec();
+                lits.sort();
+                lits
+            })
+            .collect();
+        let mut expected = vec![!a, !d];
+        expected.sort();
+        assert_eq!(learnt, vec![expected]);
+        // Without `a` the collapsed clause is silent: d alone is fine.
+        assert_eq!(s.solve_with(&[d]), SolveResult::Sat);
+    }
+
+    #[test]
+    fn an_attached_pool_keeps_no_level() {
+        use crate::pool::SharedClausePool;
+        let mut s = Solver::new();
+        s.attach_clause_pool(Arc::new(SharedClausePool::new()));
+        let v = s.new_var();
+        assert_eq!(s.solve_with(&[v.positive()]), SolveResult::Sat);
+        assert_eq!(s.decision_level(), 0);
     }
 
     #[test]

@@ -153,3 +153,167 @@ proptest! {
         }
     }
 }
+
+/// The values unit propagation derives from `assumed` over `cnf`
+/// (`None` = unassigned), or `None` when it runs into a conflict.
+fn propagated(cnf: &Cnf, assumed: &[Lit]) -> Option<Vec<Option<bool>>> {
+    let mut value = vec![None; cnf.num_vars];
+    for &a in assumed {
+        value[a.var().index()] = Some(a.is_positive());
+    }
+    loop {
+        let mut changed = false;
+        for clause in &cnf.clauses {
+            let mut free = clause
+                .iter()
+                .filter(|l| value[l.var().index()] != Some(!l.is_positive()));
+            match (free.next(), free.next()) {
+                (None, _) => return None,
+                (Some(&l), None) if value[l.var().index()].is_none() => {
+                    value[l.var().index()] = Some(l.is_positive());
+                    changed = true;
+                }
+                _ => {}
+            }
+        }
+        if !changed {
+            return Some(value);
+        }
+    }
+}
+
+/// One step of an incremental session: `kind` picks the operation and
+/// `lits` (variable, polarity) its literals, mapped onto the variables
+/// that exist at that point.
+type Step = (u8, Vec<(usize, bool)>);
+
+/// Replays `steps` on one solver whose queries mostly share their first
+/// assumption `first`, so the solver keeps that assumption's decision
+/// level between them, and checks every answer against the reference:
+/// SAT/UNSAT agree, every model satisfies every clause added so far, and
+/// every core is a subset of the assumptions that is UNSAT on its own.
+fn replay_against_reference(cnf: &Cnf, first: Lit, steps: &[Step]) {
+    const MAX_VARS: usize = 12;
+    let mut solver = Solver::new();
+    solver.new_vars(cnf.num_vars);
+    let mut added = Cnf::new(cnf.num_vars);
+    for clause in &cnf.clauses {
+        solver.add_clause(clause.iter().copied());
+        added.add_clause(clause.iter().copied());
+    }
+    for (kind, raw) in steps {
+        let lit = |&(v, pos): &(usize, bool)| Lit::new(Var::from_index(v % added.num_vars), pos);
+        match kind % 6 {
+            0 if added.num_vars < MAX_VARS => {
+                solver.new_var();
+                added.num_vars += 1;
+            }
+            1 | 2 => {
+                // A random clause, half of them over the first
+                // assumption's variable: unit, satisfied or conflicting
+                // under the kept level as chance has it.
+                let mut clause: Vec<Lit> = raw.iter().map(lit).collect();
+                if kind % 6 == 2 {
+                    clause.push(Lit::new(first.var(), raw.len() % 2 == 0));
+                }
+                solver.add_clause(clause.iter().copied());
+                added.add_clause(clause);
+            }
+            3 => {
+                // A clause over literals the kept level (unit propagation
+                // from `first`) makes true: falsified outright, unit, or
+                // satisfied only at that level.
+                let (Some(root), Some(kept)) =
+                    (propagated(&added, &[]), propagated(&added, &[first]))
+                else {
+                    continue;
+                };
+                let on_kept: Vec<Lit> = (0..added.num_vars)
+                    .filter(|&v| root[v].is_none())
+                    .filter_map(|v| kept[v].map(|value| Lit::new(Var::from_index(v), value)))
+                    .collect();
+                if on_kept.is_empty() {
+                    continue;
+                }
+                let pick = |v: usize| on_kept[v % on_kept.len()];
+                let mut clause: Vec<Lit> = raw.iter().map(|&(v, _)| !pick(v)).collect();
+                match raw.len() % 3 {
+                    0 => {}
+                    1 => clause.extend(
+                        (0..added.num_vars)
+                            .find(|&v| kept[v].is_none())
+                            .map(|v| Lit::new(Var::from_index(v), raw[0].1)),
+                    ),
+                    _ => clause.push(pick(raw[0].0 + 1)),
+                }
+                solver.add_clause(clause.iter().copied());
+                added.add_clause(clause);
+            }
+            kind => {
+                // Queries share `first` (kind 4) or start elsewhere
+                // (kind 5), which drops the kept level.
+                let mut assumptions = Vec::new();
+                if kind == 4 {
+                    assumptions.push(first);
+                }
+                for l in raw.iter().map(lit) {
+                    if assumptions.iter().all(|a: &Lit| a.var() != l.var()) {
+                        assumptions.push(l);
+                    }
+                }
+                let mut strengthened = added.clone();
+                for &a in &assumptions {
+                    strengthened.add_clause([a]);
+                }
+                let oracle = brute_force(&strengthened);
+                let result = solver.solve_with(&assumptions);
+                assert_eq!(
+                    result == SolveResult::Sat,
+                    oracle.is_some(),
+                    "answer under {assumptions:?}"
+                );
+                if result == SolveResult::Sat {
+                    let model = solver.model().expect("model on SAT");
+                    assert!(evaluate(&added, &model), "model violates a clause");
+                    assert!(
+                        assumptions
+                            .iter()
+                            .all(|a| model[a.var().index()] == a.is_positive()),
+                        "model violates an assumption"
+                    );
+                } else {
+                    let core = solver.unsat_core().to_vec();
+                    assert!(
+                        core.iter().all(|l| assumptions.contains(l)),
+                        "core {core:?} is not within {assumptions:?}"
+                    );
+                    let mut alone = added.clone();
+                    for &l in &core {
+                        alone.add_clause([l]);
+                    }
+                    assert!(
+                        brute_force(&alone).is_none(),
+                        "core {core:?} is satisfiable"
+                    );
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn kept_first_assumption_level_agrees_with_reference(
+        cnf in arb_cnf(8, 20),
+        first in (0..8usize, any::<bool>()),
+        steps in prop::collection::vec(
+            (0u8..6, prop::collection::vec((0..12usize, any::<bool>()), 1..=4)),
+            1..=16,
+        ),
+    ) {
+        let first = Lit::new(Var::from_index(first.0), first.1);
+        replay_against_reference(&cnf, first, &steps);
+    }
+}

@@ -1,9 +1,12 @@
 //! Property tests over the whole pipeline: on random DAGs, every strategy
-//! the system produces must pass the independent validity checker, and
-//! every compiled circuit must implement the DAG with clean ancillae.
+//! the system produces must pass the independent validity checker, every
+//! compiled circuit must implement the DAG with clean ancillae, and every
+//! minimum the default minimize search proves must match the exhaustive
+//! `exact` oracle.
 
 use proptest::prelude::*;
 use revpebble::core::bounds::{pebble_lower_bound, step_lower_bound};
+use revpebble::core::{exact_min_pebbles, solve_exact};
 use revpebble::graph::generators::random_dag;
 use revpebble::prelude::*;
 
@@ -86,6 +89,40 @@ proptest! {
         if let Some(strategy) = report.into_strategy() {
             // With unlimited-ish pebbles the optimum equals Bennett's count.
             prop_assert_eq!(strategy.num_moves(), step_lower_bound(&dag));
+        }
+    }
+
+    #[test]
+    fn minimize_agrees_with_the_exact_oracle(
+        inputs in 2usize..5,
+        nodes in 2usize..10,
+        seed in any::<u64>(),
+    ) {
+        // The floor is relative to the step cap, so the cap is the exact
+        // optimum's own step count: the oracle's minimum is reachable
+        // within it, and no sound refutation can lift the floor above it.
+        let dag = random_dag(inputs, nodes, seed);
+        let exact = exact_min_pebbles(&dag);
+        let steps = solve_exact(&dag, exact)
+            .into_strategy()
+            .expect("feasible at the exact minimum")
+            .num_steps();
+        let report = PebblingSession::new(&dag)
+            .minimize()
+            .max_steps(steps)
+            .run()
+            .expect("a valid configuration");
+        prop_assert!(report.stop_reason.is_none());
+        prop_assert!(
+            report.floor <= exact,
+            "floor {} above the exact minimum {exact}: an unsound budget-free core",
+            report.floor
+        );
+        let minimum = report.minimum.expect("the exact optimum fits the step cap");
+        prop_assert!(minimum >= exact, "minimum {minimum} below the exact minimum {exact}");
+        prop_assert_eq!(report.optimal, report.floor == minimum);
+        if report.optimal {
+            prop_assert_eq!(minimum, exact);
         }
     }
 }
