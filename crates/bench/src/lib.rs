@@ -258,42 +258,27 @@ pub struct ParsedBenchEntry {
     pub certified: Option<u64>,
 }
 
-/// Extracts the value of a string field from one JSON entry line.
-fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\":\"");
-    let start = line.find(&marker)? + marker.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_string())
-}
-
-/// Extracts the value of a numeric field from one JSON entry line.
-fn json_num_field(line: &str, key: &str) -> Option<f64> {
-    let marker = format!("\"{key}\":");
-    let start = line.find(&marker)? + marker.len();
-    let end = line[start..]
-        .find([',', '}'])
-        .map(|i| i + start)
-        .unwrap_or(line.len());
-    line[start..end].trim().parse().ok()
-}
-
 /// Parses the line-oriented `BENCH_sat.json` format written by
-/// [`write_bench_json`] — one entry object per line — without an external
-/// JSON crate. Malformed lines are skipped; the regression gate treats a
-/// file that yields no entries as an error.
+/// [`write_bench_json`] — one entry object per line — with the
+/// workspace's own JSON reader, [`revpebble::graph::parse_json`].
+/// Malformed lines are skipped; the regression gate treats a file that
+/// yields no entries as an error.
 pub fn parse_bench_json(text: &str) -> Vec<ParsedBenchEntry> {
     text.lines()
         .map(|line| line.trim().trim_end_matches(','))
         .filter(|line| line.starts_with("{\"bench\":"))
         .filter_map(|line| {
+            let entry = revpebble::graph::parse_json(line).ok()?;
+            let text = |key: &str| entry.get(key)?.as_str().map(str::to_owned);
+            let count = |key: &str| entry.get(key)?.as_u64();
             Some(ParsedBenchEntry {
-                bench: json_str_field(line, "bench")?,
-                id: json_str_field(line, "id")?,
-                wall_s: json_num_field(line, "wall_s")?,
-                imports: json_num_field(line, "imports").map(|v| v as u64),
-                exports: json_num_field(line, "exports").map(|v| v as u64),
-                dropped: json_num_field(line, "dropped").map(|v| v as u64),
-                certified: json_num_field(line, "certified").map(|v| v as u64),
+                bench: text("bench")?,
+                id: text("id")?,
+                wall_s: entry.get("wall_s")?.as_f64()?,
+                imports: count("imports"),
+                exports: count("exports"),
+                dropped: count("dropped"),
+                certified: count("certified"),
             })
         })
         .collect()

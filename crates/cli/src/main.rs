@@ -266,10 +266,11 @@ fn session_for<'a>(dag: &'a Dag, args: &Args) -> Result<PebblingSession<'a>, Cli
 fn run_pebble(dag: &Dag, args: &Args) -> Result<(), CliError> {
     let mut session = session_for(dag, args)?;
     if let Some(timeout) = args.timeout {
-        session = session.timeout(timeout);
+        session = session.per_query_timeout(timeout);
     }
     let plan = session.plan().map_err(CliError::Invalid)?;
-    if plan.engine == Engine::SinglePortfolio {
+    let portfolio = plan.engine == Engine::SinglePortfolio;
+    if portfolio {
         let configs = default_portfolio(plan.base, plan.workers);
         eprintln!("portfolio: {} workers", configs.len());
         for (index, config) in configs.iter().enumerate() {
@@ -280,23 +281,25 @@ fn run_pebble(dag: &Dag, args: &Args) -> Result<(), CliError> {
         .on_event(|event| eprintln!("  {event}"))
         .run()
         .map_err(CliError::Invalid)?;
-    if let SessionOutcome::Portfolio(outcome) = &report.outcome {
-        for (index, worker) in outcome.workers.iter().enumerate() {
-            let role = match outcome.winner {
-                Some(winner) if winner == index => "winner",
-                _ if worker.cancelled => "cancelled",
-                _ => "finished",
+    if portfolio {
+        for (index, worker) in report.workers.iter().enumerate() {
+            let role = if worker.winner {
+                "winner"
+            } else if worker.cancelled {
+                "cancelled"
+            } else {
+                "finished"
             };
             eprintln!(
                 "  worker {index}: {role} after {:.1?} ({} queries, {} conflicts)",
-                worker.elapsed, worker.search.queries, worker.sat.conflicts
+                worker.elapsed, worker.queries, worker.conflicts
             );
         }
         // The winning configuration decides the strategy's move semantics
         // (the race may cross `--mode`), so name it on stdout where the
         // step counts it explains are printed.
-        if let (Some(winning), false) = (outcome.winning_report(), args.json) {
-            println!("portfolio winner: {}", winning.describe());
+        if let (Some(winner), false) = (report.workers.iter().find(|w| w.winner), args.json) {
+            println!("portfolio winner: {}", winner.config);
         }
     }
     if args.json {
@@ -328,25 +331,36 @@ fn run_pebble(dag: &Dag, args: &Args) -> Result<(), CliError> {
 }
 
 /// Renders a fixed-budget session's failure the way the pre-session CLI
-/// did, from the raw engine outcome.
+/// did, from the failed probes' outcomes: across a portfolio, the most
+/// definite one (`Infeasible` over `StepLimit` over `Timeout`).
 fn describe_failure(report: &Report, budget: usize) -> String {
-    let outcome = match &report.outcome {
-        SessionOutcome::Single(outcome) => outcome,
-        SessionOutcome::Portfolio(outcome) => &outcome.outcome,
-        _ => return "the search failed".to_string(),
+    let failures: Vec<&PebbleOutcome> = match &report.outcome {
+        SessionOutcome::Minimize(result) => result.failure.iter().collect(),
+        SessionOutcome::MinimizePortfolio(race) => race
+            .workers
+            .iter()
+            .filter_map(|worker| worker.result.failure.as_ref())
+            .collect(),
+        _ => Vec::new(),
     };
-    match outcome {
-        PebbleOutcome::Infeasible { lower_bound } => {
+    let rank = |outcome: &&PebbleOutcome| match outcome {
+        PebbleOutcome::Infeasible { .. } => 2,
+        PebbleOutcome::StepLimit { .. } => 1,
+        _ => 0,
+    };
+    match failures.into_iter().max_by_key(rank) {
+        Some(PebbleOutcome::Infeasible { lower_bound }) => {
             format!("{budget} pebbles are infeasible (lower bound {lower_bound})")
         }
-        PebbleOutcome::Timeout { steps_reached } => {
+        Some(PebbleOutcome::Timeout { steps_reached }) => {
             format!("timed out while trying {steps_reached} steps")
         }
-        PebbleOutcome::StepLimit { steps_checked } => {
+        Some(PebbleOutcome::StepLimit { steps_checked }) => {
             format!("no solution with up to {steps_checked} steps")
         }
         // Rendered eagerly even on success; never shown then.
-        PebbleOutcome::Solved(_) => String::new(),
+        Some(PebbleOutcome::Solved(_)) => String::new(),
+        None => "the search failed".to_string(),
     }
 }
 

@@ -223,6 +223,30 @@ fn runtime_failures_exit_one() {
 }
 
 #[test]
+fn fixed_budget_failures_name_their_cause() {
+    // Below the structural lower bound, alone or raced: the most definite
+    // failure wins, and it names the bound.
+    for extra in [&[][..], &["--portfolio", "2"][..]] {
+        let mut args = vec!["pebble", "paper", "--pebbles", "2"];
+        args.extend_from_slice(extra);
+        let output = revpebble(&args);
+        assert_eq!(output.status.code(), Some(1), "{args:?}");
+        let stderr = stderr(&output);
+        assert!(
+            stderr.contains("2 pebbles are infeasible (lower bound 3)"),
+            "{args:?}: {stderr}"
+        );
+    }
+    // A fixed budget is one probe under `--timeout`: 16 pebbles on the
+    // 59-node b3_m4 SLP are not decided in a second.
+    let output = revpebble(&["pebble", "b3_m4", "--pebbles", "16", "--timeout", "1"]);
+    assert_eq!(output.status.code(), Some(1));
+    let stderr = stderr(&output);
+    assert!(stderr.contains("timed out while trying"), "{stderr}");
+    assert!(stderr.contains("budget 16 timed out"), "{stderr}");
+}
+
+#[test]
 fn json_report_carries_the_schema_keys() {
     let output = revpebble(&["pebble", "paper", "--minimize", "--timeout", "30", "--json"]);
     assert_eq!(output.status.code(), Some(0), "{}", stderr(&output));

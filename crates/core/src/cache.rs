@@ -140,7 +140,7 @@ impl Default for ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::PebbleOutcome;
+    use crate::solver::MinimizeResult;
 
     fn key(n: u64) -> CacheKey {
         CacheKey {
@@ -153,7 +153,10 @@ mod tests {
         CachedReport {
             minimum: Some(floor),
             floor,
-            outcome: SessionOutcome::Single(PebbleOutcome::Infeasible { lower_bound: floor }),
+            outcome: SessionOutcome::Minimize(MinimizeResult {
+                floor,
+                ..MinimizeResult::default()
+            }),
         }
     }
 

@@ -8,10 +8,10 @@
 //! By default the sweep rides **one** persistent assumption-bounded
 //! [`PebbleEncoding`](crate::encoding::PebbleEncoding): every budget probe
 //! re-enters the same solver via
-//! [`PebbleSolver::resolve_with_budget`], so learnt clauses, variable
-//! activities, saved phases and the refuted-steps table all carry from
-//! budget to budget — the whole frontier costs one encoding instead of
-//! one per point.
+//! [`PebbleSolver::resolve_with_budget`](crate::solver::PebbleSolver::resolve_with_budget),
+//! so learnt clauses, variable activities, saved phases and the
+//! refuted-steps table all carry from budget to budget — the whole
+//! frontier costs one encoding instead of one per point.
 //!
 //! A *fresh* (non-incremental) sweep has no state to carry, so when the
 //! session runtime hands it an [`Executor`] the
@@ -19,18 +19,22 @@
 //! shared pool; the resulting points are identical to the sequential
 //! sweep's (including early-stop truncation), only the wall-clock
 //! differs.
+//!
+//! Every point is one probe of the same probe loop the minimize and
+//! fixed-budget engines run ([`crate::solver`]): the sweep keeps its own
+//! descending order only because it keeps every point's strategy.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use revpebble_graph::Dag;
-use revpebble_sat::{CancelToken, Heartbeat};
 
 use crate::bounds::pebble_lower_bound;
-use crate::encoding::BoundMode;
 use crate::exec::{scatter, Executor};
-use crate::session::{ProbeEvent, ProbeEventSender};
-use crate::solver::{PebbleOutcome, PebbleSolver, SolverOptions};
+use crate::portfolio::{MinimizeConfig, MinimizeWorkerReport};
+use crate::solver::{
+    BudgetSchedule, MinimizeContext, MinimizeOptions, MinimizeRun, PebbleOutcome, SolverOptions,
+};
 use crate::strategy::Strategy;
 
 /// One point of the trade-off frontier.
@@ -44,6 +48,16 @@ pub struct FrontierPoint {
     /// Whether the probe hit its time/step budget rather than proving
     /// anything.
     pub timed_out: bool,
+}
+
+impl FrontierPoint {
+    fn new(pebbles: usize, outcome: PebbleOutcome) -> Self {
+        FrontierPoint {
+            pebbles,
+            timed_out: matches!(outcome, PebbleOutcome::Timeout { .. }),
+            strategy: outcome.into_strategy(),
+        }
+    }
 }
 
 /// Options for [`frontier`].
@@ -88,199 +102,110 @@ impl Default for FrontierOptions {
 /// failure when requested. See the [module docs](self) for the persistent
 /// incremental engine behind the default configuration.
 pub fn frontier(dag: &Dag, options: FrontierOptions) -> Vec<FrontierPoint> {
-    frontier_with_events(dag, options, None)
+    frontier_on(dag, options, MinimizeContext::default(), None).0
 }
 
-/// [`frontier`] with a live probe-event stream: every budget probe emits
-/// [`ProbeEvent::ProbeStarted`] and a solved/refuted event — the view the
-/// session's frontier executor streams to its
-/// [`on_event`](crate::session::PebblingSession::on_event) callback.
-pub fn frontier_with_events(
-    dag: &Dag,
-    options: FrontierOptions,
-    events: Option<ProbeEventSender>,
-) -> Vec<FrontierPoint> {
-    frontier_on(dag, options, events, None, None, None)
-}
-
-/// The sweep engine under [`frontier_with_events`] and the session
-/// runtime: optionally cancellable via an ambient [`CancelToken`], and —
-/// for the fresh (non-incremental) sweep only — optionally fanned out as
-/// per-budget jobs on a shared [`Executor`]. The incremental sweep stays
-/// sequential by construction: its whole point is one persistent solver
-/// carrying state from budget to budget.
+/// The sweep engine under [`frontier`] and the session runtime: `ctx`
+/// carries the session's cancel token, event stream, retry policy and
+/// heartbeat. The fresh (non-incremental) sweep fans out as per-budget
+/// jobs on `executor` when one is given; the incremental sweep stays
+/// sequential by construction, its whole point being one persistent
+/// solver carrying state from budget to budget. Returns the points,
+/// ascending, and one run record per worker that probed them.
 pub(crate) fn frontier_on(
     dag: &Dag,
     options: FrontierOptions,
-    events: Option<ProbeEventSender>,
+    ctx: MinimizeContext,
     executor: Option<&Executor>,
-    cancel: Option<&CancelToken>,
-    heartbeat: Option<Heartbeat>,
-) -> Vec<FrontierPoint> {
+) -> (Vec<FrontierPoint>, Vec<MinimizeWorkerReport>) {
     let min = options
         .min_pebbles
         .unwrap_or_else(|| pebble_lower_bound(dag));
     let max = options.max_pebbles.unwrap_or_else(|| dag.num_nodes());
-    if !options.incremental {
-        if let Some(executor) = executor {
-            return frontier_scatter(dag, options, events, executor, cancel, heartbeat, min, max);
-        }
-    }
-    let emit = |event: ProbeEvent| {
-        if let Some(events) = &events {
-            let _ = events.send(event);
-        }
+    let probes = MinimizeOptions {
+        base: options.base,
+        per_query: options.per_budget,
+        schedule: BudgetSchedule::Descending { stride: 1 },
+        incremental: options.incremental,
     };
+    if let (false, Some(executor)) = (options.incremental, executor) {
+        return frontier_scatter(dag, &options, probes, ctx, executor, (min, max));
+    }
+    let start = Instant::now();
+    let mut run = MinimizeRun::new(dag, &probes, (min, max), ctx);
     let mut points = Vec::new();
-    // One persistent instance for the whole sweep: every probe re-enters
-    // it with only the assumed budget changed, and each probe's refuted
-    // step counts seed the next (tighter) budget's deepening start.
-    let mut persistent = options.incremental.then(|| {
-        let mut base = options.base;
-        base.encoding.bound_mode = BoundMode::Assumed;
-        base.timeout = Some(options.per_budget);
-        let mut solver = PebbleSolver::new(dag, base);
-        solver.set_cancel_token(cancel.cloned());
-        solver.set_heartbeat(heartbeat.clone());
-        solver
-    });
     for pebbles in (min..=max).rev() {
-        if cancel.is_some_and(|token| token.poll().is_some()) {
+        if run.stopped() {
             break;
         }
-        let probe = points.len();
-        emit(ProbeEvent::ProbeStarted {
-            worker: 0,
-            probe,
-            budget: pebbles,
-        });
-        let outcome = match persistent.as_mut() {
-            Some(solver) => solver.resolve_with_budget(pebbles),
-            None => {
-                let mut probe = options.base;
-                probe.encoding.max_pebbles = Some(pebbles);
-                probe.timeout = Some(options.per_budget);
-                let mut solver = PebbleSolver::new(dag, probe);
-                solver.set_cancel_token(cancel.cloned());
-                solver.set_heartbeat(heartbeat.clone());
-                solver.solve()
-            }
-        };
-        let (strategy, timed_out) = match outcome {
-            PebbleOutcome::Solved(s) => (Some(s), false),
-            PebbleOutcome::Timeout { .. } => (None, true),
-            PebbleOutcome::StepLimit { .. } | PebbleOutcome::Infeasible { .. } => (None, false),
-        };
-        emit(match &strategy {
-            Some(s) => ProbeEvent::ProbeSolved {
-                worker: 0,
-                probe,
-                budget: pebbles,
-                achieved: crate::session::achieved_budget(dag, options.base.encoding.weighted, s),
-            },
-            None => ProbeEvent::ProbeRefuted {
-                worker: 0,
-                probe,
-                budget: pebbles,
-            },
-        });
-        let failed = strategy.is_none();
-        points.push(FrontierPoint {
-            pebbles,
-            strategy,
-            timed_out,
-        });
+        let point = FrontierPoint::new(pebbles, run.probe(pebbles).1);
+        let failed = point.strategy.is_none();
+        points.push(point);
         if failed && options.stop_at_first_failure {
             break;
         }
     }
     points.reverse();
-    points
+    (points, vec![worker_report(run, &probes, start)])
+}
+
+/// The run record of one frontier worker.
+fn worker_report(
+    run: MinimizeRun<'_>,
+    probes: &MinimizeOptions,
+    start: Instant,
+) -> MinimizeWorkerReport {
+    MinimizeWorkerReport {
+        config: MinimizeConfig {
+            base: probes.base,
+            schedule: probes.schedule,
+        },
+        cancelled: run.stopped(),
+        result: run.finish(),
+        elapsed: start.elapsed(),
+        panicked: None,
+    }
 }
 
 /// The fresh sweep as independent per-budget jobs on a shared pool: one
-/// job per budget, descending. With `stop_at_first_failure` the result is
-/// truncated at the highest-budget failure afterwards, so the returned
-/// points match the sequential sweep's exactly — the probes below the cut
-/// are wasted work the parallelism paid for the latency win.
-#[allow(clippy::too_many_arguments)]
+/// job (and worker) per budget, descending. With `stop_at_first_failure`
+/// the result is truncated at the highest-budget failure afterwards, so
+/// the returned points match the sequential sweep's exactly — the probes
+/// below the cut are wasted work the parallelism paid for the latency win.
 fn frontier_scatter(
     dag: &Dag,
-    options: FrontierOptions,
-    events: Option<ProbeEventSender>,
+    options: &FrontierOptions,
+    probes: MinimizeOptions,
+    ctx: MinimizeContext,
     executor: &Executor,
-    cancel: Option<&CancelToken>,
-    heartbeat: Option<Heartbeat>,
-    min: usize,
-    max: usize,
-) -> Vec<FrontierPoint> {
+    (min, max): (usize, usize),
+) -> (Vec<FrontierPoint>, Vec<MinimizeWorkerReport>) {
     let dag = Arc::new(dag.clone());
     let tasks: Vec<_> = (min..=max)
         .rev()
         .enumerate()
         .map(|(worker, pebbles)| {
             let dag = Arc::clone(&dag);
-            let events = events.clone();
-            let cancel = cancel.cloned();
-            let heartbeat = heartbeat.clone();
+            let ctx = MinimizeContext {
+                worker,
+                ..ctx.clone()
+            };
             move || {
-                let emit = |event: ProbeEvent| {
-                    if let Some(events) = &events {
-                        let _ = events.send(event);
-                    }
-                };
-                emit(ProbeEvent::ProbeStarted {
-                    worker,
-                    probe: 0,
-                    budget: pebbles,
-                });
-                let mut probe = options.base;
-                probe.encoding.max_pebbles = Some(pebbles);
-                probe.timeout = Some(options.per_budget);
-                let mut solver = PebbleSolver::new(&dag, probe);
-                solver.set_cancel_token(cancel);
-                solver.set_heartbeat(heartbeat);
-                let outcome = solver.solve();
-                let (strategy, timed_out) = match outcome {
-                    PebbleOutcome::Solved(s) => (Some(s), false),
-                    PebbleOutcome::Timeout { .. } => (None, true),
-                    PebbleOutcome::StepLimit { .. } | PebbleOutcome::Infeasible { .. } => {
-                        (None, false)
-                    }
-                };
-                emit(match &strategy {
-                    Some(s) => ProbeEvent::ProbeSolved {
-                        worker,
-                        probe: 0,
-                        budget: pebbles,
-                        achieved: crate::session::achieved_budget(
-                            &dag,
-                            options.base.encoding.weighted,
-                            s,
-                        ),
-                    },
-                    None => ProbeEvent::ProbeRefuted {
-                        worker,
-                        probe: 0,
-                        budget: pebbles,
-                    },
-                });
-                FrontierPoint {
-                    pebbles,
-                    strategy,
-                    timed_out,
-                }
+                let start = Instant::now();
+                let mut run = MinimizeRun::new(&dag, &probes, (pebbles, pebbles), ctx);
+                let point = FrontierPoint::new(pebbles, run.probe(pebbles).1);
+                (point, worker_report(run, &probes, start))
             }
         })
         .collect();
-    let mut descending = scatter(executor, tasks);
+    let (mut descending, runs): (Vec<_>, Vec<_>) = scatter(executor, tasks).into_iter().unzip();
     if options.stop_at_first_failure {
         if let Some(cut) = descending.iter().position(|point| point.strategy.is_none()) {
             descending.truncate(cut + 1);
         }
     }
     descending.reverse();
-    descending
+    (descending, runs)
 }
 
 /// Renders a frontier as a compact table (pebbles, steps, gate total).
@@ -314,6 +239,7 @@ mod tests {
     use super::*;
     use crate::encoding::{EncodingOptions, MoveMode};
     use revpebble_graph::generators::paper_example;
+    use revpebble_sat::CancelToken;
 
     fn base() -> SolverOptions {
         SolverOptions {
@@ -382,7 +308,7 @@ mod tests {
         };
         let sequential = frontier(&dag, options);
         let executor = Executor::new(2);
-        let scattered = frontier_on(&dag, options, None, Some(&executor), None, None);
+        let scattered = frontier_on(&dag, options, MinimizeContext::default(), Some(&executor)).0;
         let shape = |points: &[FrontierPoint]| -> Vec<(usize, Option<usize>)> {
             points
                 .iter()
@@ -397,18 +323,16 @@ mod tests {
         let dag = paper_example();
         let token = CancelToken::new();
         token.cancel();
-        let points = frontier_on(
-            &dag,
-            FrontierOptions {
-                base: base(),
-                per_budget: Duration::from_secs(30),
-                ..FrontierOptions::default()
-            },
-            None,
-            None,
-            Some(&token),
-            None,
-        );
+        let ctx = MinimizeContext {
+            cancel: Some(token),
+            ..MinimizeContext::default()
+        };
+        let options = FrontierOptions {
+            base: base(),
+            per_budget: Duration::from_secs(30),
+            ..FrontierOptions::default()
+        };
+        let (points, _) = frontier_on(&dag, options, ctx, None);
         assert!(points.is_empty(), "a pre-cancelled sweep probes nothing");
     }
 

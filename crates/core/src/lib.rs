@@ -17,13 +17,16 @@
 //!   sequential and parallel move semantics, several cardinality
 //!   encodings, and a weighted-node extension;
 //! - the search loops ([`PebbleSolver`], [`solver::minimize`]) including
-//!   the timeout methodology of the paper's Table I — budget minimization
-//!   runs *incrementally*: one assumption-bounded encoding and solver
-//!   instance serves every `(steps, pebbles)` probe
+//!   the timeout methodology of the paper's Table I. Both of the paper's
+//!   questions are one probe loop over a window of budgets: a fixed
+//!   budget `p` is the window `[p, p]`, budget minimization walks
+//!   `[lower bound, every node]` *incrementally* — one assumption-bounded
+//!   encoding and solver instance serves every `(steps, pebbles)` probe
 //!   ([`PebbleSolver::resolve_with_budget`]);
-//! - a multi-threaded [`PortfolioSolver`] racing several solver
-//!   configurations with first-winner-takes-all cancellation, plus races
-//!   over whole budget schedules with optional clause sharing;
+//! - [portfolios](portfolio) that race that loop over N workers with
+//!   first-winner-takes-all cancellation: diverse solver configurations
+//!   for a fixed budget, budget schedules with optional clause sharing
+//!   for a minimize search;
 //! - **the one front door**: [`session::PebblingSession`], a builder that
 //!   reaches every engine above, validates its configuration into a
 //!   typed [`session::SessionError`] before running, streams
@@ -69,12 +72,11 @@ pub use config::PebbleConfig;
 pub use encoding::{BoundMode, EncodingOptions, MoveMode, PebbleEncoding};
 pub use exact::{exact_min_pebbles, solve_exact, ExactOutcome};
 pub use exec::{scatter, scatter_settle, Executor, TaskFailure};
-pub use frontier::{frontier, frontier_with_events, FrontierOptions, FrontierPoint};
+pub use frontier::{frontier, FrontierOptions, FrontierPoint};
 pub use portfolio::{
     default_minimize_portfolio, default_portfolio, diversify_minimize_portfolio,
-    minimize_portfolio_with, minimize_portfolio_with_sharing, MinimizeConfig,
-    MinimizePortfolioOutcome, MinimizeWorkerReport, PortfolioOutcome, PortfolioSolver,
-    ShareOptions, SharingReport, WorkerReport,
+    minimize_portfolio_with_sharing, MinimizeConfig, MinimizePortfolioOutcome,
+    MinimizeWorkerReport, ShareOptions, SharingReport,
 };
 pub use session::{
     AdmitGuard, BatchReport, BatchSession, Engine, PebblingSession, ProbeEvent, ProbeEventSender,

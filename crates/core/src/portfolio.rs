@@ -1,40 +1,37 @@
-//! A multi-threaded portfolio over solver configurations.
+//! Races of budget-window searches over N workers.
 //!
-//! The paper's methodology (Table I) probes one `(P, configuration)` pair
-//! at a time under a wall-clock budget. But the configuration space the
-//! codebase already exposes — deepening schedule, move semantics,
-//! cardinality encoding, step stride — contains no single dominant
-//! choice: exponential deepening wins on hard instances, linear deepening
-//! on easy ones; the totalizer beats the sequential counter on wide
-//! cardinality bounds and loses on narrow ones. A *portfolio* sidesteps
-//! the choice: submit one job per configuration to a shared
+//! Every session runs one probe loop: solve at budget `p`, deepening the
+//! step count `K`, over a window of budgets (see [`crate::solver`]). A
+//! portfolio races that loop on several workers at once, ManySAT style
+//! (Hamadi et al., JSAT 2009): one job per configuration on a shared
 //! [`Executor`], each on its own
-//! [`PebbleEncoding`](crate::encoding::PebbleEncoding), race them on the
-//! same instance, and let the first worker to find a strategy cancel the
-//! rest through a shared race [`CancelToken`] threaded all the way into
-//! the CDCL search loop ([`revpebble_sat::Solver::set_cancel_token`]).
+//! [`PebbleEncoding`](crate::encoding::PebbleEncoding), and the first
+//! worker to finish its whole window with a strategy cancels the rest
+//! through a shared race [`CancelToken`] threaded all the way into the
+//! CDCL search loop ([`revpebble_sat::Solver::set_cancel_token`]).
+//!
+//! The configuration space has no single dominant choice: exponential
+//! deepening wins on hard instances, linear deepening on easy ones; the
+//! totalizer beats the sequential counter on wide cardinality bounds and
+//! loses on narrow ones. A fixed budget `p` is the window `[p, p]`, raced
+//! over [`default_portfolio`]'s solver configurations. A minimize search
+//! races [`default_minimize_portfolio`]'s budget schedules (binary search
+//! vs. descending strides) over `[lower bound, every node]`, optionally
+//! sharing learnt clauses and certified refutations
+//! ([`minimize_portfolio_with_sharing`]).
 //!
 //! ```
-//! use revpebble_core::{PortfolioSolver, SolverOptions, EncodingOptions};
+//! use revpebble_core::{Engine, PebblingSession};
 //! use revpebble_graph::generators::paper_example;
 //!
 //! let dag = paper_example();
-//! let base = SolverOptions {
-//!     encoding: EncodingOptions { max_pebbles: Some(4), ..EncodingOptions::default() },
-//!     ..SolverOptions::default()
-//! };
-//! let result = PortfolioSolver::with_default_portfolio(&dag, base, 4).solve();
-//! let strategy = result.outcome.into_strategy().expect("solvable");
+//! let report = PebblingSession::new(&dag).pebbles(4).portfolio(4).run().expect("valid");
+//! assert_eq!(report.engine, Engine::SinglePortfolio);
+//! assert_eq!(report.workers.len(), 4);
+//! assert_eq!(report.workers.iter().filter(|w| w.winner).count(), 1);
+//! let strategy = report.into_strategy().expect("solvable");
 //! strategy.validate(&dag, Some(4)).expect("valid");
-//! assert!(result.winner.is_some());
 //! ```
-//!
-//! Beyond single-budget races, [`minimize_portfolio_with_sharing`] races
-//! whole *budget-minimization searches*: every worker drives one
-//! incremental assumption-bounded encoding through its own
-//! [`BudgetSchedule`] (binary search vs. descending strides), and the
-//! first complete search cancels the rest — so the portfolio explores
-//! budget schedules, not just option sets.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -44,52 +41,19 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use revpebble_graph::Dag;
 use revpebble_sat::card::CardEncoding;
 use revpebble_sat::faults::FaultSite;
-use revpebble_sat::{CancelToken, Heartbeat, PoolConfig, PoolStats, SharedClausePool, SolverStats};
+use revpebble_sat::{CancelToken, PoolConfig, PoolStats, SharedClausePool};
 
 use crate::encoding::MoveMode;
 use crate::exec::{scatter_settle, Executor};
-use crate::session::{ProbeEvent, ProbeEventSender};
 use crate::sharing::SharedSearchState;
 use crate::solver::{
-    run_minimize_with_context, BudgetSchedule, MinimizeContext, MinimizeOptions, MinimizeResult,
-    PebbleOutcome, PebbleSolver, RetryPolicy, SearchStats, SolverOptions, StepSchedule,
+    budget_window, run_minimize_with_context, BudgetSchedule, MinimizeContext, MinimizeOptions,
+    MinimizeResult, SolverOptions, StepSchedule,
 };
 use crate::strategy::Strategy;
 
 /// Sentinel for "no worker has claimed the win yet".
 const NO_WINNER: usize = usize::MAX;
-
-/// What one portfolio worker did, for diagnostics and benchmarking.
-#[derive(Debug, Clone)]
-pub struct WorkerReport {
-    /// The configuration this worker ran.
-    pub options: SolverOptions,
-    /// The worker's own outcome (the winner's is also the portfolio's).
-    pub outcome: PebbleOutcome,
-    /// Outer-search statistics (queries issued, largest `K`, conflicts).
-    pub search: SearchStats,
-    /// SAT-solver statistics as of the worker's last query.
-    pub sat: SolverStats,
-    /// Wall-clock time from spawn to return.
-    pub elapsed: Duration,
-    /// `true` when the worker gave up because the race token fired — a
-    /// rival won, or an ambient session token was cancelled — as opposed
-    /// to exhausting its own budgets.
-    pub cancelled: bool,
-    /// The panic payload when this worker's job panicked instead of
-    /// returning. The entry is a placeholder (default statistics, a
-    /// `Timeout` outcome) kept in configuration order so winner indices
-    /// stay valid; the race certifies from the survivors.
-    pub panicked: Option<String>,
-}
-
-impl WorkerReport {
-    /// A compact single-line description of the worker's configuration,
-    /// e.g. `linear/seq/sequential-counter/stride1`.
-    pub fn describe(&self) -> String {
-        describe_options(&self.options)
-    }
-}
 
 /// A compact single-line description of one configuration,
 /// e.g. `exponential/par/totalizer/stride1`.
@@ -111,27 +75,6 @@ pub fn describe_options(options: &SolverOptions) -> String {
         "{schedule}/{mode}/{card}/stride{}",
         options.step_stride.max(1)
     )
-}
-
-/// The result of a [`PortfolioSolver::solve`] run.
-#[derive(Debug, Clone)]
-pub struct PortfolioOutcome {
-    /// The portfolio's verdict: the winner's strategy, or the most
-    /// definite failure among the workers (`Infeasible` over `StepLimit`
-    /// over `Timeout`) when nobody solved the instance.
-    pub outcome: PebbleOutcome,
-    /// Index (into [`workers`](Self::workers)) of the worker whose
-    /// strategy won the race, if any.
-    pub winner: Option<usize>,
-    /// One report per worker, in configuration order.
-    pub workers: Vec<WorkerReport>,
-}
-
-impl PortfolioOutcome {
-    /// The winning worker's report, if any worker won.
-    pub fn winning_report(&self) -> Option<&WorkerReport> {
-        self.winner.map(|idx| &self.workers[idx])
-    }
 }
 
 /// Builds `n` diverse configurations from `base`, cycling through the
@@ -205,201 +148,6 @@ pub fn default_portfolio(base: SolverOptions, n: usize) -> Vec<SolverOptions> {
         stride_round += 1;
     }
     configs
-}
-
-/// Races several solver configurations on one pebbling instance;
-/// first-winner-takes-all. See the [module docs](self).
-#[derive(Debug)]
-pub struct PortfolioSolver<'a> {
-    dag: &'a Dag,
-    configs: Vec<SolverOptions>,
-}
-
-impl<'a> PortfolioSolver<'a> {
-    /// Creates a portfolio running one worker per configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `configs` is empty, the DAG is empty, or the DAG fails
-    /// [`Dag::validate_for_pebbling`].
-    pub fn new(dag: &'a Dag, configs: Vec<SolverOptions>) -> Self {
-        assert!(
-            !configs.is_empty(),
-            "a portfolio needs at least one configuration"
-        );
-        assert!(dag.num_nodes() > 0, "cannot pebble an empty DAG");
-        dag.validate_for_pebbling()
-            .expect("every sink must be an output");
-        PortfolioSolver { dag, configs }
-    }
-
-    /// Creates a portfolio of `n` diverse variations of `base`; `n == 0`
-    /// spawns one worker per available core (see [`default_portfolio`]).
-    pub fn with_default_portfolio(dag: &'a Dag, base: SolverOptions, n: usize) -> Self {
-        Self::new(dag, default_portfolio(base, n))
-    }
-
-    /// The worker configurations, in spawn order.
-    pub fn configs(&self) -> &[SolverOptions] {
-        &self.configs
-    }
-
-    /// Races every configuration on a private pool (one worker per
-    /// configuration, the historical behaviour) and returns the
-    /// first-found strategy plus per-worker reports. The winning worker
-    /// cancels the race token, which stops the rivals' searches inside
-    /// the CDCL loop, so the call returns shortly after the first win
-    /// even when rival configurations would run far longer.
-    pub fn solve(&self) -> PortfolioOutcome {
-        let executor = Executor::new(self.configs.len());
-        self.solve_on(&executor, None, None, None)
-    }
-
-    /// [`solve`](Self::solve) on a caller-provided [`Executor`], under an
-    /// optional ambient cancel token (the race token is its child), with
-    /// an optional live probe-event stream: each worker emits
-    /// [`ProbeEvent::ProbeStarted`] before its search and a
-    /// solved/refuted event after — the session runtime's view into the
-    /// race.
-    pub(crate) fn solve_on(
-        &self,
-        executor: &Executor,
-        cancel: Option<&CancelToken>,
-        events: Option<ProbeEventSender>,
-        heartbeat: Option<Heartbeat>,
-    ) -> PortfolioOutcome {
-        let race = cancel.map_or_else(CancelToken::new, CancelToken::child);
-        let winner = Arc::new(AtomicUsize::new(NO_WINNER));
-        let dag = Arc::new(self.dag.clone());
-        let tasks: Vec<_> = self
-            .configs
-            .iter()
-            .enumerate()
-            .map(|(index, &options)| {
-                let race = race.clone();
-                let winner = Arc::clone(&winner);
-                let events = events.clone();
-                let dag = Arc::clone(&dag);
-                let heartbeat = heartbeat.clone();
-                move || {
-                    let start = Instant::now();
-                    // Containment: the worker runs under its own child of
-                    // the race token, so an injected spurious cancel (or
-                    // an injected transient, which has no other channel
-                    // here) degrades this one worker without stopping the
-                    // race. The winner still cancels the shared parent.
-                    let worker_token = race.child();
-                    if options
-                        .sat
-                        .faults
-                        .trip(FaultSite::ExecJob, Some(&worker_token))
-                    {
-                        worker_token.cancel();
-                    }
-                    let budget = options.encoding.max_pebbles.unwrap_or_default();
-                    let emit = |event: ProbeEvent| {
-                        if let Some(events) = &events {
-                            let _ = events.send(event);
-                        }
-                    };
-                    emit(ProbeEvent::ProbeStarted {
-                        worker: index,
-                        probe: 0,
-                        budget,
-                    });
-                    let mut solver = PebbleSolver::new(&dag, options);
-                    solver.set_cancel_token(Some(worker_token.clone()));
-                    solver.set_heartbeat(heartbeat);
-                    let outcome = solver.solve();
-                    let solved = matches!(outcome, PebbleOutcome::Solved(_));
-                    emit(match &outcome {
-                        PebbleOutcome::Solved(strategy) => ProbeEvent::ProbeSolved {
-                            worker: index,
-                            probe: 0,
-                            budget,
-                            achieved: crate::session::achieved_budget(
-                                &dag,
-                                options.encoding.weighted,
-                                strategy,
-                            ),
-                        },
-                        _ => ProbeEvent::ProbeRefuted {
-                            worker: index,
-                            probe: 0,
-                            budget,
-                        },
-                    });
-                    if solved
-                        && winner
-                            .compare_exchange(NO_WINNER, index, Ordering::AcqRel, Ordering::Acquire)
-                            .is_ok()
-                    {
-                        race.cancel();
-                    }
-                    WorkerReport {
-                        options,
-                        search: solver.stats(),
-                        sat: solver.sat_stats(),
-                        elapsed: start.elapsed(),
-                        cancelled: !solved && worker_token.is_cancelled(),
-                        outcome,
-                        panicked: None,
-                    }
-                }
-            })
-            .collect();
-        // Panic isolation: a panicked worker becomes a placeholder entry
-        // (in configuration order, so winner indices stay valid) and the
-        // race certifies from the survivors.
-        let workers: Vec<WorkerReport> = scatter_settle(executor, tasks)
-            .into_iter()
-            .enumerate()
-            .map(|(index, slot)| match slot {
-                Ok(report) => report,
-                Err(failure) => WorkerReport {
-                    options: self.configs[index],
-                    outcome: PebbleOutcome::Timeout { steps_reached: 0 },
-                    search: SearchStats::default(),
-                    sat: SolverStats::default(),
-                    elapsed: Duration::ZERO,
-                    cancelled: false,
-                    panicked: Some(failure.message),
-                },
-            })
-            .collect();
-
-        let winner = match winner.load(Ordering::Acquire) {
-            NO_WINNER => None,
-            index => Some(index),
-        };
-        let outcome = match winner {
-            Some(index) => workers[index].outcome.clone(),
-            None => Self::most_definite(&workers),
-        };
-        PortfolioOutcome {
-            outcome,
-            winner,
-            workers,
-        }
-    }
-
-    /// When nobody solved the instance, report the most definite failure:
-    /// a structural `Infeasible` beats an exhausted `StepLimit` beats a
-    /// plain `Timeout`.
-    fn most_definite(workers: &[WorkerReport]) -> PebbleOutcome {
-        let rank = |outcome: &PebbleOutcome| match outcome {
-            PebbleOutcome::Solved(_) => 3,
-            PebbleOutcome::Infeasible { .. } => 2,
-            PebbleOutcome::StepLimit { .. } => 1,
-            PebbleOutcome::Timeout { .. } => 0,
-        };
-        workers
-            .iter()
-            .map(|worker| &worker.outcome)
-            .max_by_key(|outcome| rank(outcome))
-            .expect("portfolio has at least one worker")
-            .clone()
-    }
 }
 
 /// One worker's slice of a [`minimize_portfolio_with_sharing`] race: a
@@ -620,7 +368,7 @@ pub struct SharingReport {
 pub struct MinimizePortfolioOutcome {
     /// The smallest certified budget across *all* workers (a cancelled
     /// descending worker may have certified a smaller budget than the
-    /// winner completed with).
+    /// winner completed with); on a tie, the winner's strategy.
     pub best: Option<(usize, Strategy)>,
     /// Index of the first worker to complete its whole search with a
     /// certified budget, if any.
@@ -680,21 +428,6 @@ fn other_schedule(schedule: StepSchedule) -> StepSchedule {
     }
 }
 
-/// Races `configs` minimize searches on one instance without any sharing
-/// beyond first-to-complete cancellation — the isolated (PR-2) race kept
-/// as the comparison baseline for [`minimize_portfolio_with_sharing`].
-///
-/// # Panics
-///
-/// Panics if `configs` is empty or the DAG is unfit for pebbling.
-pub fn minimize_portfolio_with(
-    dag: &Dag,
-    configs: Vec<MinimizeConfig>,
-    per_query: Duration,
-) -> MinimizePortfolioOutcome {
-    minimize_portfolio_with_sharing(dag, configs, per_query, ShareOptions::isolated())
-}
-
 /// Races `configs` minimize searches on one instance,
 /// first-to-complete-takes-all: each worker drives its own incremental
 /// assumption-bounded encoding through its budget schedule, and the first
@@ -726,48 +459,51 @@ pub fn minimize_portfolio_with_sharing(
     per_query: Duration,
     share: ShareOptions,
 ) -> MinimizePortfolioOutcome {
-    let executor = Executor::new(configs.len().max(1));
+    let window = budget_window(dag, configs[0].base.encoding.weighted);
+    let options = MinimizeOptions::new(configs[0].base, per_query);
     minimize_portfolio_on(
         dag,
         configs,
-        per_query,
+        window,
+        options,
         share,
-        None,
-        &executor,
-        None,
-        RetryPolicy::none(),
+        MinimizeContext::default(),
         None,
     )
 }
 
-/// The minimize-race engine under [`minimize_portfolio_with_sharing`]
-/// and the session runtime's portfolio engines: the same race, run as
-/// jobs on a caller-provided [`Executor`] under an optional ambient
-/// cancel token (the race token is its child), with an optional live
-/// probe-event stream every worker clones.
-#[allow(clippy::too_many_arguments)]
+/// The one race under [`minimize_portfolio_with_sharing`] and every
+/// session: each configuration runs the budget-window probe loop over
+/// `window` as one worker. `options` supplies what all workers share —
+/// the per-probe timeout and the fresh/incremental choice; each worker's
+/// own [`MinimizeConfig`] supplies its solver options and budget
+/// schedule. `ctx` carries the session hooks (cancel token — the race
+/// token is its child — event stream, retry policy, heartbeat); the race
+/// fills in each worker's index, pool and blackboard.
+///
+/// A lone worker runs inline on the calling thread (a panic unwinds to
+/// the caller); several run as jobs on `executor`, or on a private pool
+/// of one thread per worker, with panics contained into placeholder rows.
 pub(crate) fn minimize_portfolio_on(
     dag: &Dag,
     mut configs: Vec<MinimizeConfig>,
-    per_query: Duration,
+    window: (usize, usize),
+    options: MinimizeOptions,
     share: ShareOptions,
-    events: Option<ProbeEventSender>,
-    executor: &Executor,
-    cancel: Option<&CancelToken>,
-    retry: RetryPolicy,
-    heartbeat: Option<Heartbeat>,
+    ctx: MinimizeContext,
+    executor: Option<&Executor>,
 ) -> MinimizePortfolioOutcome {
     assert!(
         !configs.is_empty(),
         "a minimize portfolio needs at least one configuration"
     );
-    assert!(dag.num_nodes() > 0, "cannot pebble an empty DAG");
-    dag.validate_for_pebbling()
-        .expect("every sink must be an output");
     if share.diversify {
         diversify_minimize_portfolio(&mut configs);
     }
-    let race = cancel.map_or_else(CancelToken::new, CancelToken::child);
+    let race = ctx
+        .cancel
+        .as_ref()
+        .map_or_else(CancelToken::new, CancelToken::child);
     let pool = share.clauses.then(|| {
         Arc::new(SharedClausePool::with_config(PoolConfig {
             max_workers: configs.len().max(1),
@@ -795,104 +531,114 @@ pub(crate) fn minimize_portfolio_on(
         })
         .collect();
     let winner = Arc::new(AtomicUsize::new(NO_WINNER));
-    let owned_dag = Arc::new(dag.clone());
-    let tasks: Vec<_> = configs
-        .iter()
-        .enumerate()
-        .map(|(index, &config)| {
-            let race = race.clone();
-            let winner = Arc::clone(&winner);
-            let dag = Arc::clone(&owned_dag);
-            let clause_mode = clause_mode[index];
-            let compatible = compatible[index];
-            // Containment: the worker runs under its own child of the
-            // race token, so a spurious cancellation (injected at
-            // `exec.job`, or an external child-holder) degrades this one
-            // worker without stopping the race. The winner still cancels
-            // the shared parent, which shines through every child.
-            let worker_token = race.child();
-            let ctx = MinimizeContext {
-                cancel: Some(worker_token.clone()),
-                pool: pool
-                    .clone()
-                    .filter(|_| clause_mode != ClauseShareMode::None),
-                prefix: clause_mode == ClauseShareMode::Prefix,
-                shared: shared.clone().filter(|_| compatible),
-                events: events.clone(),
-                worker: index,
-                retry,
-                heartbeat: heartbeat.clone(),
-            };
-            move || {
-                let start = Instant::now();
-                if config
-                    .base
-                    .sat
-                    .faults
-                    .trip(FaultSite::ExecJob, Some(&worker_token))
-                {
-                    worker_token.cancel();
-                }
-                let options = MinimizeOptions {
-                    base: config.base,
-                    per_query,
-                    schedule: config.schedule,
-                    incremental: true,
-                };
-                let result = run_minimize_with_context(&dag, options, ctx);
-                let finished = result.best.is_some() && !worker_token.is_cancelled();
-                if finished
-                    && winner
-                        .compare_exchange(NO_WINNER, index, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                {
-                    race.cancel();
-                }
-                MinimizeWorkerReport {
-                    config,
-                    cancelled: !finished && worker_token.is_cancelled(),
-                    result,
-                    elapsed: start.elapsed(),
-                    panicked: None,
+    let scattered = configs.len() > 1;
+    let worker = |index: usize| {
+        let config = configs[index];
+        let race = race.clone();
+        let winner = Arc::clone(&winner);
+        // Containment: a pooled worker runs under its own child of the
+        // race token, so a spurious cancellation (injected at `exec.job`,
+        // or an external child-holder) degrades this one worker without
+        // stopping the race. The winner still cancels the shared parent,
+        // which shines through every child. A lone worker has no rival
+        // to stop and runs under the session's own token.
+        let token = if scattered {
+            Some(race.child())
+        } else {
+            ctx.cancel.clone()
+        };
+        let ctx = MinimizeContext {
+            cancel: token.clone(),
+            pool: pool
+                .clone()
+                .filter(|_| clause_mode[index] != ClauseShareMode::None),
+            prefix: clause_mode[index] == ClauseShareMode::Prefix,
+            shared: shared.clone().filter(|_| compatible[index]),
+            worker: index,
+            ..ctx.clone()
+        };
+        let options = MinimizeOptions {
+            base: config.base,
+            schedule: config.schedule,
+            ..options
+        };
+        move |dag: &Dag| {
+            let start = Instant::now();
+            // Fail point `exec.job`: only a worker that is its own pool
+            // job visits it.
+            if let Some(token) = token.as_ref().filter(|_| scattered) {
+                if config.base.sat.faults.trip(FaultSite::ExecJob, Some(token)) {
+                    token.cancel();
                 }
             }
-        })
-        .collect();
-    // Panic isolation: a panicked worker becomes a placeholder entry (in
-    // configuration order, so winner indices stay valid); its floor of 0
-    // and empty result never contribute to the certified aggregates.
-    let workers: Vec<MinimizeWorkerReport> = scatter_settle(executor, tasks)
-        .into_iter()
-        .enumerate()
-        .map(|(index, slot)| match slot {
-            Ok(report) => report,
-            Err(failure) => MinimizeWorkerReport {
-                config: configs[index],
-                result: MinimizeResult {
-                    best: None,
-                    probes: Vec::new(),
-                    probe_stats: Vec::new(),
-                    search: SearchStats::default(),
-                    sat: SolverStats::default(),
-                    floor: 0,
-                    step_tightenings: 0,
-                    floor_raises: 0,
-                    retries: 0,
-                },
-                elapsed: Duration::ZERO,
-                cancelled: false,
-                panicked: Some(failure.message),
-            },
-        })
-        .collect();
+            let result = run_minimize_with_context(dag, options, window, ctx);
+            let stopped = token.as_ref().is_some_and(CancelToken::is_cancelled);
+            let finished = result.best.is_some() && !stopped;
+            if finished
+                && winner
+                    .compare_exchange(NO_WINNER, index, Ordering::AcqRel, Ordering::Acquire)
+                    .is_ok()
+            {
+                race.cancel();
+            }
+            MinimizeWorkerReport {
+                config,
+                cancelled: !finished && stopped,
+                result,
+                elapsed: start.elapsed(),
+                panicked: None,
+            }
+        }
+    };
+    let workers: Vec<MinimizeWorkerReport> = if scattered {
+        let owned = Arc::new(dag.clone());
+        let tasks: Vec<_> = (0..configs.len())
+            .map(|index| {
+                let body = worker(index);
+                let dag = Arc::clone(&owned);
+                move || body(&dag)
+            })
+            .collect();
+        let private;
+        let executor = match executor {
+            Some(executor) => executor,
+            None => {
+                private = Executor::new(configs.len());
+                &private
+            }
+        };
+        // Panic isolation: a panicked worker becomes a placeholder entry
+        // (in configuration order, so winner indices stay valid); its
+        // floor of 0 and empty result never contribute to the certified
+        // aggregates.
+        scatter_settle(executor, tasks)
+            .into_iter()
+            .enumerate()
+            .map(|(index, slot)| {
+                slot.unwrap_or_else(|failure| MinimizeWorkerReport {
+                    config: configs[index],
+                    result: MinimizeResult::default(),
+                    elapsed: Duration::ZERO,
+                    cancelled: false,
+                    panicked: Some(failure.message),
+                })
+            })
+            .collect()
+    } else {
+        vec![worker(0)(dag)]
+    };
     let winner = match winner.load(Ordering::Acquire) {
         NO_WINNER => None,
         index => Some(index),
     };
-    let best = workers
-        .iter()
-        .filter_map(|worker| worker.result.best.clone())
-        .min_by_key(|&(p, _)| p);
+    // The smallest certified budget; ties go to the winner, whose
+    // configuration the caller names alongside the strategy.
+    let best = winner
+        .into_iter()
+        .chain(0..workers.len())
+        .filter_map(|index| workers[index].result.best.as_ref())
+        .min_by_key(|&&(p, _)| p)
+        .cloned();
     // Certified figures only ever aggregate reference-compatible workers:
     // an incompatible worker's floor is certified relative to a *different*
     // encoding or step cap, and mixing them could report a "floor" above a
@@ -903,13 +649,14 @@ pub(crate) fn minimize_portfolio_on(
             .zip(&compatible)
             .filter_map(|(w, &ok)| ok.then_some(w))
     };
+    let pool = pool.as_ref().map(|p| p.stats()).unwrap_or_default();
     let sharing = match &shared {
         Some(state) => SharingReport {
             options: share,
             floor: state.floor(),
             step_tightenings: state.step_tightenings(),
             floor_raises: state.floor_raises(),
-            pool: pool.as_ref().map(|p| p.stats()).unwrap_or_default(),
+            pool,
         },
         // Isolated race: aggregate the compatible workers' private
         // blackboards so the report stays meaningful for comparisons.
@@ -923,7 +670,7 @@ pub(crate) fn minimize_portfolio_on(
                 .map(|w| w.result.step_tightenings)
                 .sum(),
             floor_raises: compatible_workers().map(|w| w.result.floor_raises).sum(),
-            pool: pool.as_ref().map(|p| p.stats()).unwrap_or_default(),
+            pool,
         },
     };
     MinimizePortfolioOutcome {
@@ -939,18 +686,19 @@ mod tests {
     use super::*;
     use crate::encoding::EncodingOptions;
     use crate::session::{PebblingSession, SessionOutcome};
+    use crate::solver::{PebbleOutcome, PebbleSolver};
     use revpebble_graph::generators::paper_example;
 
     /// Session-backed equivalents of the retired free-function shims:
     /// the tests still cover the session → engine plumbing end to end.
-    fn solve_with_pebbles(dag: &Dag, max_pebbles: usize) -> PebbleOutcome {
+    fn solve_with_pebbles(dag: &Dag, max_pebbles: usize) -> MinimizeResult {
         let report = PebblingSession::new(dag)
             .pebbles(max_pebbles)
             .run()
             .expect("valid pebbling configuration");
         match report.outcome {
-            SessionOutcome::Single(outcome) => outcome,
-            _ => unreachable!("a fixed-budget session drives the single engine"),
+            SessionOutcome::Minimize(result) => result,
+            _ => unreachable!("a fixed-budget session runs one worker"),
         }
     }
 
@@ -958,16 +706,12 @@ mod tests {
         dag: &Dag,
         max_pebbles: usize,
         workers: usize,
-    ) -> PortfolioOutcome {
-        let report = PebblingSession::new(dag)
-            .pebbles(max_pebbles)
-            .portfolio(workers)
-            .run()
-            .expect("valid pebbling configuration");
-        match report.outcome {
-            SessionOutcome::Portfolio(outcome) => outcome,
-            _ => unreachable!("a fixed-budget portfolio session drives the race engine"),
-        }
+    ) -> MinimizePortfolioOutcome {
+        session_minimize_portfolio(
+            PebblingSession::new(dag)
+                .pebbles(max_pebbles)
+                .portfolio(workers),
+        )
     }
 
     fn session_minimize_portfolio(session: PebblingSession<'_>) -> MinimizePortfolioOutcome {
@@ -1053,7 +797,7 @@ mod tests {
         assert!(!configs.is_empty());
         let dag = paper_example();
         let result = solve_with_pebbles_portfolio(&dag, 4, 0);
-        assert!(matches!(result.outcome, PebbleOutcome::Solved(_)));
+        assert!(result.best.is_some());
     }
 
     #[test]
@@ -1066,18 +810,13 @@ mod tests {
     #[test]
     fn portfolio_matches_single_threaded_bound_on_paper_example() {
         let dag = paper_example();
-        let single = solve_with_pebbles(&dag, 4)
-            .into_strategy()
-            .expect("solvable");
+        let (_, single) = solve_with_pebbles(&dag, 4).best.expect("solvable");
         single
             .validate(&dag, Some(4))
             .expect("single-threaded valid");
 
         let result = solve_with_pebbles_portfolio(&dag, 4, 4);
-        let strategy = result
-            .outcome
-            .into_strategy()
-            .expect("portfolio solves too");
+        let (_, strategy) = result.best.clone().expect("portfolio solves too");
         strategy
             .validate(&dag, Some(4))
             .expect("portfolio strategy fits the same pebble bound");
@@ -1090,11 +829,11 @@ mod tests {
     #[test]
     fn portfolio_with_two_workers_solves_and_reports_both() {
         let dag = paper_example();
-        let result = PortfolioSolver::with_default_portfolio(&dag, budgeted(6), 2).solve();
-        assert!(matches!(result.outcome, PebbleOutcome::Solved(_)));
+        let result = solve_with_pebbles_portfolio(&dag, 6, 2);
+        assert!(result.best.is_some());
         assert_eq!(result.workers.len(), 2);
-        let report = result.winning_report().expect("winner report");
-        assert!(matches!(report.outcome, PebbleOutcome::Solved(_)));
+        let report = &result.workers[result.winner.expect("a winner")].result;
+        assert!(report.best.is_some());
         assert!(report.search.queries > 0);
     }
 
@@ -1102,40 +841,70 @@ mod tests {
     fn infeasible_budget_is_reported_not_raced_forever() {
         let dag = paper_example();
         let result = solve_with_pebbles_portfolio(&dag, 1, 3);
-        assert!(matches!(
-            result.outcome,
-            PebbleOutcome::Infeasible { lower_bound: 3 }
-        ));
+        assert!(result.best.is_none());
+        for worker in &result.workers {
+            assert_eq!(
+                worker.result.failure,
+                Some(PebbleOutcome::Infeasible { lower_bound: 3 })
+            );
+        }
         assert!(result.winner.is_none());
     }
 
     #[test]
     fn losing_workers_observe_the_stop_flag_and_exit_promptly() {
-        // Worker 1 is doomed: 3 pebbles pass the structural lower bound of
-        // the paper example but admit no strategy at any K (the final
-        // configuration {E, F} leaves one pebble for C and D), so linear
-        // deepening with an effectively unbounded step limit would refute
-        // K = 10, 11, 12, … forever. Only the winner's stop flag can end
-        // it — the whole test hanging is the failure mode guarded against.
+        // Both workers walk the window [3, 4] and probe budget 3 first.
+        // 3 pebbles pass the structural lower bound of the paper example
+        // but admit no strategy at any K (the final configuration {E, F}
+        // leaves one pebble for C and D). Worker 0 refutes it up to its
+        // 20-step cap and wins at 4; worker 1 is doomed: with an
+        // effectively unbounded step cap it would refute K = 10, 11, 12,
+        // … forever. Only the winner's stop flag can end it — the whole
+        // test hanging is the failure mode guarded against.
         let dag = paper_example();
+        let capped = SolverOptions {
+            max_steps: 20,
+            ..SolverOptions::default()
+        };
         let doomed = SolverOptions {
             max_steps: usize::MAX / 2,
-            ..budgeted(3)
+            ..SolverOptions::default()
         };
+        let configs = [capped, doomed]
+            .map(|base| MinimizeConfig {
+                base,
+                schedule: BudgetSchedule::Binary,
+            })
+            .to_vec();
         let start = Instant::now();
-        let result = PortfolioSolver::new(&dag, vec![budgeted(4), doomed]).solve();
+        let result = minimize_portfolio_on(
+            &dag,
+            configs,
+            (3, 4),
+            MinimizeOptions::new(capped, Duration::from_secs(600)),
+            ShareOptions::isolated(),
+            MinimizeContext::default(),
+            None,
+        );
         let elapsed = start.elapsed();
 
-        assert_eq!(result.winner, Some(0), "only the 4-pebble worker can win");
-        let strategy = result.outcome.into_strategy().expect("winner's strategy");
+        assert_eq!(result.winner, Some(0), "only the capped worker can finish");
+        let (p, strategy) = result.best.expect("winner's strategy");
+        assert_eq!(p, 4);
         strategy.validate(&dag, Some(4)).expect("valid");
 
         let loser = &result.workers[1];
         assert!(loser.cancelled, "loser must report being cancelled");
+        // Cancellation surfaces as a budget outcome — or, when the win
+        // landed before the loser's first probe, as no probe at all.
+        assert!(loser.result.best.is_none());
         assert!(
-            matches!(loser.outcome, PebbleOutcome::Timeout { .. }),
-            "cancellation surfaces as a budget outcome, got {:?}",
-            loser.outcome
+            matches!(
+                loser.result.failure,
+                None | Some(PebbleOutcome::Timeout { .. })
+            ),
+            "got {:?}",
+            loser.result.failure
         );
         // Generous CI bound; the stop flag is polled at every CDCL
         // decision, so real latency is micro- to milliseconds.
@@ -1162,7 +931,12 @@ mod tests {
             .iter()
             .any(|c| matches!(c.schedule, BudgetSchedule::Descending { .. })));
 
-        let outcome = minimize_portfolio_with(&dag, configs, Duration::from_secs(20));
+        let outcome = minimize_portfolio_with_sharing(
+            &dag,
+            configs,
+            Duration::from_secs(20),
+            ShareOptions::isolated(),
+        );
         let (p, strategy) = outcome.best.expect("paper example is feasible");
         assert_eq!(p, 4, "all schedules agree on the minimum budget");
         strategy.validate(&dag, Some(4)).expect("valid");
@@ -1385,8 +1159,12 @@ mod tests {
         let dag = paper_example();
         let configs = default_portfolio(budgeted(6), 3);
         let expected: Vec<String> = configs.iter().map(describe_options).collect();
-        let result = PortfolioSolver::new(&dag, configs).solve();
-        let got: Vec<String> = result.workers.iter().map(WorkerReport::describe).collect();
+        let report = PebblingSession::new(&dag)
+            .pebbles(6)
+            .portfolio(3)
+            .run()
+            .expect("valid pebbling configuration");
+        let got: Vec<String> = report.workers.iter().map(|w| w.config.clone()).collect();
         assert_eq!(got, expected);
     }
 }

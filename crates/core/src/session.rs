@@ -28,9 +28,11 @@
 //!    conflicts with minimization, weighted budgets must fit the total
 //!    weight, …) and rejects bad combinations with a typed
 //!    [`SessionError`] *before* any solver is built;
-//! 3. **executor** — [`PebblingSession::run`] drives the engine named by
-//!    the validated [`SessionPlan`] and unifies the result into one
-//!    [`Report`].
+//! 3. **executor** — [`PebblingSession::run`] drives the validated
+//!    [`SessionPlan`] and unifies the result into one [`Report`]. Every
+//!    plan but the frontier sweep is one probe loop over a window of
+//!    budgets — `[p, p]` for a fixed budget, `[lower bound, every node]`
+//!    for a minimize search — raced by one worker or a portfolio.
 //!
 //! While an engine runs, it streams [`ProbeEvent`]s over a channel; the
 //! callback installed with [`PebblingSession::on_event`] observes them
@@ -73,18 +75,18 @@ use revpebble_sat::{CancelReason, CancelToken, Heartbeat, SolverConfig};
 
 use revpebble_sat::card::CardEncoding;
 
-use crate::bounds::{pebble_lower_bound, weighted_pebble_lower_bound};
 use crate::cache::{CacheKey, CachedReport, ResultCache};
 use crate::encoding::MoveMode;
 use crate::exec::{payload_message, Executor};
 use crate::frontier::{frontier_on, FrontierOptions, FrontierPoint};
 use crate::portfolio::{
-    default_minimize_portfolio, describe_minimize_config, describe_options, minimize_portfolio_on,
-    MinimizeConfig, MinimizePortfolioOutcome, PortfolioOutcome, PortfolioSolver, ShareOptions,
+    default_minimize_portfolio, default_portfolio, describe_minimize_config, describe_options,
+    minimize_portfolio_on, MinimizeConfig, MinimizePortfolioOutcome, MinimizeWorkerReport,
+    ShareOptions,
 };
 use crate::solver::{
-    run_minimize_with_context, BudgetSchedule, MinimizeContext, MinimizeOptions, MinimizeResult,
-    PebbleOutcome, PebbleSolver, RetryPolicy, SolverOptions, StepSchedule,
+    budget_window, BudgetSchedule, MinimizeContext, MinimizeOptions, MinimizeResult, RetryPolicy,
+    SolverOptions, StepSchedule,
 };
 use crate::strategy::Strategy;
 
@@ -124,8 +126,19 @@ pub enum ProbeEvent {
         /// pebble count — possibly below `budget`).
         achieved: usize,
     },
-    /// A probe was refuted or exhausted its time/step budget.
+    /// A probe found no strategy: the budget is infeasible, or every step
+    /// count up to the cap was refuted.
     ProbeRefuted {
+        /// Worker index.
+        worker: usize,
+        /// The worker's own probe counter.
+        probe: usize,
+        /// The pebble budget that was probed.
+        budget: usize,
+    },
+    /// A probe was cut off by its timeout (or a cancellation) before it
+    /// proved anything about its budget.
+    ProbeTimedOut {
         /// Worker index.
         worker: usize,
         /// The worker's own probe counter.
@@ -183,6 +196,14 @@ impl fmt::Display for ProbeEvent {
                 probe,
                 budget,
             } => write!(f, "worker {worker} probe {probe}: budget {budget} refuted"),
+            ProbeEvent::ProbeTimedOut {
+                worker,
+                probe,
+                budget,
+            } => write!(
+                f,
+                "worker {worker} probe {probe}: budget {budget} timed out"
+            ),
             ProbeEvent::FloorRaised { worker, floor } => {
                 write!(f, "worker {worker}: certified floor raised to {floor}")
             }
@@ -339,13 +360,17 @@ impl std::error::Error for SessionError {
     }
 }
 
-/// Which engine a validated [`SessionPlan`] drives.
+/// What a validated [`SessionPlan`] runs, as a stable label. Every
+/// session but the frontier runs the same probe loop over a budget
+/// window, raced by one or more workers; the label only names the
+/// combination of window, worker count, sharing and incrementality.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Engine {
-    /// One fixed-budget search on one thread.
+    /// One fixed budget `p` — the one-probe window `[p, p]` — on one
+    /// worker.
     Single,
-    /// A fixed-budget race over diverse solver configurations.
+    /// The window `[p, p]` raced over diverse solver configurations.
     SinglePortfolio,
     /// Budget minimization with a fresh solver per probe (the paper's
     /// Table I methodology).
@@ -364,6 +389,29 @@ pub enum Engine {
 }
 
 impl Engine {
+    /// The label of a plan: a fixed budget (the one-budget window
+    /// `[p, p]`) or a minimize window, one worker or a portfolio,
+    /// cooperative or not, incremental or fresh — or the frontier sweep.
+    fn of(fixed: bool, portfolio: bool, share: bool, incremental: bool, frontier: bool) -> Engine {
+        match (frontier, fixed, portfolio) {
+            (true, _, _) => Engine::Frontier,
+            (false, true, false) => Engine::Single,
+            (false, true, true) => Engine::SinglePortfolio,
+            (false, false, false) if incremental => Engine::MinimizeIncremental,
+            (false, false, false) => Engine::MinimizeFresh,
+            (false, false, true) if share => Engine::MinimizePortfolioShared,
+            (false, false, true) => Engine::MinimizePortfolio,
+        }
+    }
+
+    /// Whether the plan races several workers.
+    fn is_portfolio(self) -> bool {
+        matches!(
+            self,
+            Engine::SinglePortfolio | Engine::MinimizePortfolio | Engine::MinimizePortfolioShared
+        )
+    }
+
     /// A stable machine-readable name (the `engine` key of
     /// [`Report::to_json`]).
     pub fn as_str(&self) -> &'static str {
@@ -468,12 +516,12 @@ pub struct SessionPlan {
     /// Solver options every probe shares (encoding, deepening schedule,
     /// step cap, SAT configuration).
     pub base: SolverOptions,
-    /// Wall-clock budget per probe (minimize engines) or per budget
-    /// point (frontier).
+    /// Wall-clock budget per probe: per minimize probe, per frontier
+    /// point, and for the whole fixed-budget solve (which is one probe).
     pub per_query: Duration,
     /// How minimize engines walk the budget axis.
     pub budget_schedule: BudgetSchedule,
-    /// The fixed budget of the single engines.
+    /// The fixed budget `p` of the single engines: the window `[p, p]`.
     pub pebbles: Option<usize>,
     /// Requested worker count for the portfolio engines (`0` = one per
     /// available core).
@@ -489,7 +537,8 @@ pub struct SessionPlan {
 }
 
 /// What one worker of a session did — a uniform per-worker view across
-/// all engines, for reports and the JSON output.
+/// all engines, for reports and the JSON output. Built by one function
+/// from the worker's window run, whatever the engine.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct WorkerSummary {
@@ -520,20 +569,18 @@ pub struct WorkerSummary {
 
 /// The engine-specific artifact behind a [`Report`], for callers that
 /// need more than the unified fields (per-probe stats snapshots, the
-/// full frontier, per-worker minimize results). `Clone` so a
+/// full frontier, per-worker window results). `Clone` so a
 /// [`ResultCache`] can hold finished outcomes.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub enum SessionOutcome {
-    /// [`Engine::Single`]: the raw outcome.
-    Single(PebbleOutcome),
-    /// [`Engine::SinglePortfolio`]: the raw race outcome.
-    Portfolio(PortfolioOutcome),
-    /// [`Engine::MinimizeFresh`] / [`Engine::MinimizeIncremental`]: the
-    /// raw minimize result.
+    /// One worker's window run: [`Engine::Single`] (a fixed budget is
+    /// the window `[p, p]`, one probe), [`Engine::MinimizeFresh`] and
+    /// [`Engine::MinimizeIncremental`].
     Minimize(MinimizeResult),
-    /// [`Engine::MinimizePortfolio`] /
-    /// [`Engine::MinimizePortfolioShared`]: the raw race outcome.
+    /// A race of window runs: [`Engine::SinglePortfolio`],
+    /// [`Engine::MinimizePortfolio`] and
+    /// [`Engine::MinimizePortfolioShared`].
     MinimizePortfolio(MinimizePortfolioOutcome),
     /// [`Engine::Frontier`]: the swept trade-off points.
     Frontier(Vec<FrontierPoint>),
@@ -597,8 +644,6 @@ impl Report {
     /// The best strategy the session found, if any.
     pub fn strategy(&self) -> Option<&Strategy> {
         match &self.outcome {
-            SessionOutcome::Single(outcome) => outcome.strategy(),
-            SessionOutcome::Portfolio(outcome) => outcome.outcome.strategy(),
             SessionOutcome::Minimize(result) => result.best.as_ref().map(|(_, s)| s),
             SessionOutcome::MinimizePortfolio(outcome) => outcome.best.as_ref().map(|(_, s)| s),
             SessionOutcome::Frontier(points) => {
@@ -611,8 +656,6 @@ impl Report {
     /// Consumes the report and returns the best strategy, if any.
     pub fn into_strategy(self) -> Option<Strategy> {
         match self.outcome {
-            SessionOutcome::Single(outcome) => outcome.into_strategy(),
-            SessionOutcome::Portfolio(outcome) => outcome.outcome.into_strategy(),
             SessionOutcome::Minimize(result) => result.best.map(|(_, s)| s),
             SessionOutcome::MinimizePortfolio(outcome) => outcome.best.map(|(_, s)| s),
             SessionOutcome::Frontier(points) => points.into_iter().find_map(|point| point.strategy),
@@ -842,9 +885,10 @@ impl<'a> PebblingSession<'a> {
         self
     }
 
-    /// `true` (the default): every minimize probe reuses one
-    /// assumption-bounded encoding/solver instance. `false`: the paper's
-    /// fresh-solver-per-probe methodology.
+    /// `true` (the default): every minimize probe (and every frontier
+    /// point) reuses one assumption-bounded encoding/solver instance.
+    /// `false`: the paper's fresh-solver-per-probe methodology. A fixed
+    /// budget is one probe, so it always runs fresh.
     pub fn incremental(mut self, incremental: bool) -> Self {
         self.incremental = Some(incremental);
         self
@@ -887,16 +931,12 @@ impl<'a> PebblingSession<'a> {
         self
     }
 
-    /// Wall-clock budget per minimize probe / frontier point (default
-    /// 10 s, as the CLI uses).
+    /// Wall-clock budget per probe (default 10 s, as the CLI uses): per
+    /// minimize probe, per frontier point, and for the whole fixed-budget
+    /// solve, which is one probe. A probe that runs out of time proves
+    /// nothing about its budget.
     pub fn per_query_timeout(mut self, per_query: Duration) -> Self {
         self.per_query = Some(per_query);
-        self
-    }
-
-    /// Wall-clock budget for a whole fixed-budget solve.
-    pub fn timeout(mut self, timeout: Duration) -> Self {
-        self.base.timeout = Some(timeout);
         self
     }
 
@@ -1033,7 +1073,7 @@ impl<'a> PebblingSession<'a> {
                 });
             }
         }
-        let engine = if self.frontier {
+        if self.frontier {
             if self.minimize {
                 return Err(SessionError::FrontierWithMinimize);
             }
@@ -1043,58 +1083,33 @@ impl<'a> PebblingSession<'a> {
             if self.portfolio.is_some() {
                 return Err(SessionError::FrontierWithPortfolio);
             }
-            if self.share.is_some() {
-                return Err(SessionError::ShareClausesWithoutMinimize);
-            }
-            if self.diversify == Some(true) {
-                return Err(SessionError::DiversifyWithoutPortfolio);
-            }
-            Engine::Frontier
-        } else if self.minimize {
-            if let Some(budget) = self.pebbles {
-                return Err(SessionError::BudgetWithMinimize { budget });
-            }
-            match self.portfolio {
-                Some(_) => {
-                    if self.incremental == Some(false) {
-                        return Err(SessionError::FreshPortfolio);
-                    }
-                    if self.share.is_some() {
-                        Engine::MinimizePortfolioShared
-                    } else {
-                        Engine::MinimizePortfolio
-                    }
-                }
-                None => {
-                    if self.share.is_some() {
-                        return Err(SessionError::ShareClausesWithoutPortfolio);
-                    }
-                    if self.diversify == Some(true) {
-                        return Err(SessionError::DiversifyWithoutPortfolio);
-                    }
-                    if self.incremental.unwrap_or(true) {
-                        Engine::MinimizeIncremental
-                    } else {
-                        Engine::MinimizeFresh
-                    }
-                }
-            }
-        } else {
-            if self.share.is_some() {
-                return Err(SessionError::ShareClausesWithoutMinimize);
-            }
-            if self.diversify == Some(true) {
-                return Err(SessionError::DiversifyWithoutPortfolio);
-            }
-            let Some(_) = self.pebbles else {
-                return Err(SessionError::MissingBudget);
-            };
-            if self.portfolio.is_some() {
-                Engine::SinglePortfolio
-            } else {
-                Engine::Single
-            }
-        };
+        }
+        if let (true, Some(budget)) = (self.minimize, self.pebbles) {
+            return Err(SessionError::BudgetWithMinimize { budget });
+        }
+        let minimize_portfolio = self.minimize && self.portfolio.is_some();
+        if minimize_portfolio && self.incremental == Some(false) {
+            return Err(SessionError::FreshPortfolio);
+        }
+        if self.share.is_some() && !self.minimize {
+            return Err(SessionError::ShareClausesWithoutMinimize);
+        }
+        if self.share.is_some() && !minimize_portfolio {
+            return Err(SessionError::ShareClausesWithoutPortfolio);
+        }
+        if self.diversify == Some(true) && !minimize_portfolio {
+            return Err(SessionError::DiversifyWithoutPortfolio);
+        }
+        if !self.minimize && !self.frontier && self.pebbles.is_none() {
+            return Err(SessionError::MissingBudget);
+        }
+        let engine = Engine::of(
+            self.pebbles.is_some(),
+            self.portfolio.is_some(),
+            self.share.is_some(),
+            self.incremental.unwrap_or(true),
+            self.frontier,
+        );
         Ok(SessionPlan {
             engine,
             base: self.base,
@@ -1202,18 +1217,8 @@ impl<'a> PebblingSession<'a> {
 
 /// The unified `(minimum, floor)` pair for a finished engine run.
 fn certified(dag: &Dag, plan: &SessionPlan, outcome: &SessionOutcome) -> (Option<usize>, usize) {
-    let structural = if plan.base.encoding.weighted {
-        weighted_pebble_lower_bound(dag)
-    } else {
-        pebble_lower_bound(dag)
-    };
-    let achieved =
-        |strategy: &Strategy| achieved_budget(dag, plan.base.encoding.weighted, strategy);
+    let structural = budget_window(dag, plan.base.encoding.weighted).0;
     match outcome {
-        SessionOutcome::Single(outcome) => (outcome.strategy().map(achieved), structural),
-        SessionOutcome::Portfolio(outcome) => {
-            (outcome.outcome.strategy().map(achieved), structural)
-        }
         SessionOutcome::Minimize(result) => (result.best.as_ref().map(|&(p, _)| p), result.floor),
         SessionOutcome::MinimizePortfolio(outcome) => (
             outcome.best.as_ref().map(|&(p, _)| p),
@@ -1913,9 +1918,6 @@ impl BatchSession {
     }
 }
 
-/// Runs the engine a validated plan names, pushing progress events into
-/// `tx`. Dropping `tx` (and every worker clone) ends the session's event
-/// stream.
 /// What a strategy certifies, in the units the encoding budgets:
 /// weight units in weighted mode, pebble counts otherwise. Every
 /// engine's `ProbeSolved { achieved }` (and the terminal minimum) uses
@@ -1928,6 +1930,32 @@ pub(crate) fn achieved_budget(dag: &Dag, weighted: bool, strategy: &Strategy) ->
     }
 }
 
+impl WorkerSummary {
+    /// The one way a worker row is made: from the worker's window run.
+    fn of(config: String, worker: &MinimizeWorkerReport, winner: bool) -> Self {
+        let result = &worker.result;
+        WorkerSummary {
+            config,
+            probes: result.probes.len(),
+            queries: result.search.queries,
+            conflicts: result.sat.conflicts,
+            imported: result.sat.imported_clauses,
+            exported: result.sat.exported_clauses,
+            cancelled: worker.cancelled,
+            winner,
+            elapsed: worker.elapsed,
+            failed: worker.panicked.is_some(),
+            retries: result.retries,
+        }
+    }
+}
+
+/// Runs a validated plan, pushing progress events into `tx`. Dropping
+/// `tx` (and every worker clone) ends the session's event stream.
+///
+/// Every plan but the frontier is one race over a budget window: `[p, p]`
+/// for a fixed budget, `[lower bound, every node]` for a minimize search,
+/// with one worker or a portfolio of them.
 fn execute_plan(
     dag: &Dag,
     plan: &SessionPlan,
@@ -1936,206 +1964,76 @@ fn execute_plan(
     executor: Option<&Arc<Executor>>,
     heartbeat: Option<Heartbeat>,
 ) -> (SessionOutcome, Vec<WorkerSummary>) {
-    match plan.engine {
-        Engine::Single => {
-            let budget = plan.pebbles.expect("validated: single needs a budget");
-            let start = Instant::now();
-            let _ = tx.send(ProbeEvent::ProbeStarted {
-                worker: 0,
-                probe: 0,
-                budget,
-            });
-            let mut solver = PebbleSolver::new(dag, plan.base);
-            solver.set_cancel_token(cancel.cloned());
-            solver.set_heartbeat(heartbeat);
-            let outcome = solver.solve();
-            let event = match &outcome {
-                PebbleOutcome::Solved(strategy) => ProbeEvent::ProbeSolved {
-                    worker: 0,
-                    probe: 0,
-                    budget,
-                    achieved: achieved_budget(dag, plan.base.encoding.weighted, strategy),
-                },
-                _ => ProbeEvent::ProbeRefuted {
-                    worker: 0,
-                    probe: 0,
-                    budget,
-                },
-            };
-            let _ = tx.send(event);
-            let summary = WorkerSummary {
-                config: describe_options(&plan.base),
-                probes: 1,
-                queries: solver.stats().queries,
-                conflicts: solver.sat_stats().conflicts,
-                imported: solver.sat_stats().imported_clauses,
-                exported: solver.sat_stats().exported_clauses,
-                cancelled: false,
-                winner: matches!(outcome, PebbleOutcome::Solved(_)),
-                elapsed: start.elapsed(),
-                failed: false,
-                retries: 0,
-            };
-            (SessionOutcome::Single(outcome), vec![summary])
-        }
-        Engine::SinglePortfolio => {
-            let portfolio = PortfolioSolver::with_default_portfolio(dag, plan.base, plan.workers);
-            let outcome = match executor {
-                Some(executor) => portfolio.solve_on(executor, cancel, Some(tx), heartbeat),
-                None => {
-                    // No shared pool installed: preserve the historical
-                    // one-thread-per-configuration race.
-                    let private = Executor::new(portfolio.configs().len().max(1));
-                    portfolio.solve_on(&private, cancel, Some(tx), heartbeat)
-                }
-            };
-            let workers = outcome
-                .workers
-                .iter()
-                .enumerate()
-                .map(|(index, worker)| WorkerSummary {
-                    config: describe_options(&worker.options),
-                    probes: 1,
-                    queries: worker.search.queries,
-                    conflicts: worker.sat.conflicts,
-                    imported: worker.sat.imported_clauses,
-                    exported: worker.sat.exported_clauses,
-                    cancelled: worker.cancelled,
-                    winner: outcome.winner == Some(index),
-                    elapsed: worker.elapsed,
-                    failed: worker.panicked.is_some(),
-                    retries: 0,
-                })
-                .collect();
-            (SessionOutcome::Portfolio(outcome), workers)
-        }
-        Engine::MinimizeFresh | Engine::MinimizeIncremental => {
-            let start = Instant::now();
-            let options = MinimizeOptions {
-                base: plan.base,
-                per_query: plan.per_query,
-                schedule: plan.budget_schedule,
-                incremental: plan.engine == Engine::MinimizeIncremental,
-            };
-            let ctx = MinimizeContext {
-                cancel: cancel.cloned(),
-                events: Some(tx),
-                retry: plan.retry,
-                heartbeat,
-                ..MinimizeContext::default()
-            };
-            let result = run_minimize_with_context(dag, options, ctx);
-            let summary = WorkerSummary {
-                config: describe_minimize_config(&MinimizeConfig {
-                    base: plan.base,
-                    schedule: plan.budget_schedule,
-                }),
-                probes: result.probes.len(),
-                queries: result.search.queries,
-                conflicts: result.sat.conflicts,
-                imported: result.sat.imported_clauses,
-                exported: result.sat.exported_clauses,
-                cancelled: false,
-                winner: result.best.is_some(),
-                elapsed: start.elapsed(),
-                failed: false,
-                retries: result.retries,
-            };
-            (SessionOutcome::Minimize(result), vec![summary])
-        }
-        Engine::MinimizePortfolio | Engine::MinimizePortfolioShared => {
-            let configs = default_minimize_portfolio(plan.base, plan.workers);
-            let share = if plan.engine == Engine::MinimizePortfolioShared {
-                plan.share
-            } else {
-                // An isolated race still honors the diversification knob:
-                // jitter needs no pool, only distinct worker configs.
-                ShareOptions {
-                    diversify: plan.share.diversify,
-                    ..ShareOptions::isolated()
-                }
-            };
-            let outcome = match executor {
-                Some(executor) => minimize_portfolio_on(
-                    dag,
-                    configs,
-                    plan.per_query,
-                    share,
-                    Some(tx),
-                    executor,
-                    cancel,
-                    plan.retry,
-                    heartbeat,
-                ),
-                None => {
-                    let private = Executor::new(configs.len().max(1));
-                    minimize_portfolio_on(
-                        dag,
-                        configs,
-                        plan.per_query,
-                        share,
-                        Some(tx),
-                        &private,
-                        cancel,
-                        plan.retry,
-                        heartbeat,
-                    )
-                }
-            };
-            let workers = outcome
-                .workers
-                .iter()
-                .enumerate()
-                .map(|(index, worker)| WorkerSummary {
-                    config: describe_minimize_config(&worker.config),
-                    probes: worker.result.probes.len(),
-                    queries: worker.result.search.queries,
-                    conflicts: worker.result.sat.conflicts,
-                    imported: worker.result.sat.imported_clauses,
-                    exported: worker.result.sat.exported_clauses,
-                    cancelled: worker.cancelled,
-                    winner: outcome.winner == Some(index),
-                    elapsed: worker.elapsed,
-                    failed: worker.panicked.is_some(),
-                    retries: worker.result.retries,
-                })
-                .collect();
-            (SessionOutcome::MinimizePortfolio(outcome), workers)
-        }
-        Engine::Frontier => {
-            let start = Instant::now();
-            let options = FrontierOptions {
-                base: plan.base,
-                per_budget: plan.per_query,
-                min_pebbles: plan.frontier_range.0,
-                max_pebbles: plan.frontier_range.1,
-                incremental: plan.incremental,
-                ..FrontierOptions::default()
-            };
-            let points = frontier_on(
-                dag,
-                options,
-                Some(tx),
-                executor.map(|arc| arc.as_ref()),
-                cancel,
-                heartbeat,
-            );
-            let summary = WorkerSummary {
-                config: format!("frontier/{}", describe_options(&plan.base)),
-                probes: points.len(),
-                queries: 0,
-                conflicts: 0,
-                imported: 0,
-                exported: 0,
-                cancelled: false,
-                winner: points.iter().any(|point| point.strategy.is_some()),
-                elapsed: start.elapsed(),
-                failed: false,
-                retries: 0,
-            };
-            (SessionOutcome::Frontier(points), vec![summary])
-        }
+    let ctx = MinimizeContext {
+        cancel: cancel.cloned(),
+        events: Some(tx),
+        retry: plan.retry,
+        heartbeat,
+        ..MinimizeContext::default()
+    };
+    let executor = executor.map(|arc| arc.as_ref());
+    if plan.engine == Engine::Frontier {
+        let options = FrontierOptions {
+            base: plan.base,
+            per_budget: plan.per_query,
+            min_pebbles: plan.frontier_range.0,
+            max_pebbles: plan.frontier_range.1,
+            incremental: plan.incremental,
+            ..FrontierOptions::default()
+        };
+        let (points, runs) = frontier_on(dag, options, ctx, executor);
+        let config = format!("frontier/{}", describe_options(&plan.base));
+        let workers = runs
+            .iter()
+            .map(|run| WorkerSummary::of(config.clone(), run, run.result.best.is_some()))
+            .collect();
+        return (SessionOutcome::Frontier(points), workers);
     }
+    let window = plan.pebbles.map_or_else(
+        || budget_window(dag, plan.base.encoding.weighted),
+        |p| (p, p),
+    );
+    let configs = match (plan.pebbles, plan.engine.is_portfolio()) {
+        (_, false) => vec![MinimizeConfig {
+            base: plan.base,
+            schedule: plan.budget_schedule,
+        }],
+        (Some(_), true) => default_portfolio(plan.base, plan.workers)
+            .into_iter()
+            .map(|base| MinimizeConfig {
+                base,
+                schedule: plan.budget_schedule,
+            })
+            .collect(),
+        (None, true) => default_minimize_portfolio(plan.base, plan.workers),
+    };
+    let options = MinimizeOptions {
+        base: plan.base,
+        per_query: plan.per_query,
+        schedule: plan.budget_schedule,
+        incremental: plan.incremental,
+    };
+    let race = minimize_portfolio_on(dag, configs, window, options, plan.share, ctx, executor);
+    let workers = race
+        .workers
+        .iter()
+        .enumerate()
+        .map(|(index, worker)| {
+            // A fixed budget has no budget schedule to name.
+            let config = match plan.pebbles {
+                Some(_) => describe_options(&worker.config.base),
+                None => describe_minimize_config(&worker.config),
+            };
+            WorkerSummary::of(config, worker, race.winner == Some(index))
+        })
+        .collect();
+    let outcome = if plan.engine.is_portfolio() {
+        SessionOutcome::MinimizePortfolio(race)
+    } else {
+        let worker = race.workers.into_iter().next().expect("one worker ran");
+        SessionOutcome::Minimize(worker.result)
+    };
+    (outcome, workers)
 }
 
 #[cfg(test)]
@@ -2215,19 +2113,20 @@ mod tests {
             minimum: Some(4),
             floor: 2,
             optimal: false,
-            workers: vec![WorkerSummary {
-                config: hostile.to_owned(),
-                probes: 1,
-                queries: 1,
-                conflicts: 0,
-                imported: 0,
-                exported: 0,
-                cancelled: false,
-                winner: true,
-                elapsed: Duration::from_millis(3),
-                failed: false,
-                retries: 0,
-            }],
+            workers: vec![WorkerSummary::of(
+                hostile.to_owned(),
+                &MinimizeWorkerReport {
+                    config: MinimizeConfig {
+                        base: SolverOptions::default(),
+                        schedule: BudgetSchedule::Binary,
+                    },
+                    result: MinimizeResult::default(),
+                    elapsed: Duration::from_millis(3),
+                    cancelled: false,
+                    panicked: None,
+                },
+                true,
+            )],
             events_emitted: 0,
             stop_reason: None,
             retries: 0,
@@ -2440,11 +2339,63 @@ mod tests {
             .expect("valid configuration");
         assert_eq!(report.engine, Engine::Frontier);
         assert_eq!(report.minimum, Some(4));
+        assert!(
+            report.workers[0].queries > 0,
+            "the sweep's SAT work shows in its worker row"
+        );
         let SessionOutcome::Frontier(points) = &report.outcome else {
             panic!("frontier outcome expected");
         };
         assert!(points.len() >= 3, "budgets 3..=6 probed: {points:?}");
         assert!(report.to_json().contains("\"frontier\":["));
+    }
+
+    #[test]
+    fn a_probe_cut_off_by_its_timeout_streams_timed_out_not_refuted() {
+        use std::sync::Mutex;
+        let dag = revpebble_graph::builtin_dag("b3_m4").expect("builtin");
+        let events: Arc<Mutex<Vec<ProbeEvent>>> = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&events);
+        let report = PebblingSession::new(&dag)
+            .minimize()
+            .per_query_timeout(Duration::from_millis(1))
+            .on_event(move |event| sink.lock().expect("sink").push(event))
+            .run()
+            .expect("valid configuration");
+        let events = events.lock().expect("sink");
+        let timed_out: Vec<(usize, usize)> = events
+            .iter()
+            .filter_map(|event| match *event {
+                ProbeEvent::ProbeTimedOut { worker, probe, .. } => Some((worker, probe)),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            !timed_out.is_empty(),
+            "1 ms cuts a b3_m4 probe off: {events:?}"
+        );
+        for &(worker, probe) in &timed_out {
+            assert!(
+                !events.iter().any(|event| matches!(
+                    *event,
+                    ProbeEvent::ProbeRefuted { worker: w, probe: n, .. } if (w, n) == (worker, probe)
+                )),
+                "probe {probe} both timed out and refuted: {events:?}"
+            );
+        }
+        // One resolution per started probe, whatever its kind.
+        let started = events
+            .iter()
+            .filter(|event| matches!(event, ProbeEvent::ProbeStarted { .. }))
+            .count();
+        assert_eq!(started, report.probes());
+        assert!(ProbeEvent::ProbeTimedOut {
+            worker: 0,
+            probe: 1,
+            budget: 7
+        }
+        .to_string()
+        .ends_with("budget 7 timed out"));
     }
 
     #[test]

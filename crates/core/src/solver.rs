@@ -7,6 +7,11 @@
 //!
 //! *Table I methodology*: find the smallest `P` for which a solution is
 //! found within a time budget — [`minimize`].
+//!
+//! Both are one loop: probe budget `p`, deepening `K`, over a window of
+//! budgets. Problem 1 is the window `[P, P]`; the minimize search walks
+//! `[lower bound, every node]`. The session engines run every
+//! fixed-budget and minimize request through that one probe loop.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -590,7 +595,7 @@ impl<'a> PebbleSolver<'a> {
 
 /// How a [`minimize`] search walks the budget axis. Portfolio workers can
 /// race different schedules on the same instance (see
-/// [`minimize_portfolio_with`](crate::portfolio::minimize_portfolio_with)).
+/// [`minimize_portfolio_with_sharing`](crate::portfolio::minimize_portfolio_with_sharing)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BudgetSchedule {
     /// Binary search over `[lower bound, full budget]` — the paper's
@@ -621,7 +626,9 @@ pub struct MinimizeOptions {
     /// `true`: all probes share one assumption-bounded
     /// [`PebbleEncoding`]/solver instance, carrying learnt clauses, VSIDS
     /// activities and saved phases from probe to probe. `false`: the
-    /// paper's original fresh-solver-per-probe methodology.
+    /// paper's original fresh-solver-per-probe methodology. A one-budget
+    /// window (a fixed budget) always runs fresh: there is no later probe
+    /// to carry state to.
     pub incremental: bool,
 }
 
@@ -690,8 +697,10 @@ impl Default for RetryPolicy {
     }
 }
 
-/// The result of a [`minimize`] search.
-#[derive(Debug, Clone)]
+/// The result of a [`minimize`] search — and of every budget-window
+/// run the session engines drive, a fixed budget `p` being the window
+/// `[p, p]`.
+#[derive(Debug, Clone, Default)]
 pub struct MinimizeResult {
     /// The smallest pebble budget for which a strategy was found, with the
     /// strategy itself. *Model-based upper-bound tightening*: when a probe
@@ -732,6 +741,10 @@ pub struct MinimizeResult {
     /// Probe attempts re-run under the [`RetryPolicy`] after a transient
     /// failure or spurious cancellation.
     pub retries: u64,
+    /// The outcome of the last probe that found no strategy
+    /// (`Infeasible`, `StepLimit` or `Timeout`), so a fixed-budget run
+    /// can say *why* it failed.
+    pub failure: Option<PebbleOutcome>,
 }
 
 /// Per-probe engine: either one persistent assumption-bounded instance or
@@ -773,10 +786,18 @@ fn sum_stats(a: SolverStats, b: SolverStats) -> SolverStats {
 }
 
 impl<'a> Prober<'a> {
-    fn new(dag: &'a Dag, options: &MinimizeOptions, ctx: &MinimizeContext) -> Self {
+    /// The incremental engine when `options` ask for it and the window
+    /// holds more than one budget; the fresh engine otherwise. A
+    /// one-budget window has no later probe to carry state to.
+    fn new(
+        dag: &'a Dag,
+        options: &MinimizeOptions,
+        window: (usize, usize),
+        ctx: &MinimizeContext,
+    ) -> Self {
         let mut base = options.base;
         base.timeout = Some(options.per_query);
-        if options.incremental {
+        if options.incremental && window.0 < window.1 {
             base.encoding.bound_mode = BoundMode::Assumed;
             let mut solver = PebbleSolver::new(dag, base);
             solver.set_cancel_token(ctx.cancel.clone());
@@ -860,8 +881,23 @@ impl<'a> Prober<'a> {
     }
 }
 
-/// Shared bookkeeping of one minimization run.
-struct MinimizeRun<'a> {
+/// The budget window a minimize search walks: from the structural lower
+/// bound to the budget that pebbles every node at once (weight units in
+/// weighted mode, which on heavy DAGs extend past `num_nodes()`).
+pub(crate) fn budget_window(dag: &Dag, weighted: bool) -> (usize, usize) {
+    if weighted {
+        (
+            weighted_pebble_lower_bound(dag),
+            usize::try_from(dag.total_weight()).expect("total weight fits usize"),
+        )
+    } else {
+        (pebble_lower_bound(dag), dag.num_nodes())
+    }
+}
+
+/// Shared bookkeeping of one budget-window run: the one place a probe
+/// is issued, retried, streamed and recorded.
+pub(crate) struct MinimizeRun<'a> {
     dag: &'a Dag,
     weighted: bool,
     prober: Prober<'a>,
@@ -869,6 +905,7 @@ struct MinimizeRun<'a> {
     best: Option<(usize, Strategy)>,
     probes: Vec<(usize, bool)>,
     probe_stats: Vec<SolverStats>,
+    failure: Option<PebbleOutcome>,
     cancel: Option<CancelToken>,
     /// Live probe-event stream of the owning session, if any.
     events: Option<ProbeEventSender>,
@@ -889,7 +926,39 @@ struct MinimizeRun<'a> {
     retries: u64,
 }
 
-impl MinimizeRun<'_> {
+impl<'a> MinimizeRun<'a> {
+    /// A run over `window` (see [`Prober::new`] for the engine choice),
+    /// its floor primed with the structural lower bound.
+    pub(crate) fn new(
+        dag: &'a Dag,
+        options: &MinimizeOptions,
+        window: (usize, usize),
+        ctx: MinimizeContext,
+    ) -> Self {
+        let weighted = options.base.encoding.weighted;
+        let prober = Prober::new(dag, options, window, &ctx);
+        let shared = prober.shared_state();
+        shared.prime_floor(budget_window(dag, weighted).0);
+        MinimizeRun {
+            dag,
+            weighted,
+            last_floor: shared.floor(),
+            prober,
+            shared,
+            best: None,
+            probes: Vec::new(),
+            probe_stats: Vec::new(),
+            failure: None,
+            cancel: ctx.cancel,
+            events: ctx.events,
+            worker: ctx.worker,
+            share_ticks: ctx.pool.is_some(),
+            faults: options.base.sat.faults,
+            retry: ctx.retry,
+            retries: 0,
+        }
+    }
+
     fn emit(&self, event: ProbeEvent) {
         if let Some(events) = &self.events {
             // A receiver that hung up only silences the stream.
@@ -897,16 +966,18 @@ impl MinimizeRun<'_> {
         }
     }
 
-    /// Probes budget `p`. On success returns the budget the extracted
-    /// strategy *actually certifies* — its own maximum pebble count
-    /// (weight in weighted mode), which can undercut `p`. The schedules
-    /// use that to jump their windows below the model instead of walking
-    /// budget-by-budget down to it (model-based upper-bound tightening).
-    fn probe(&mut self, p: usize) -> Option<usize> {
-        let probe_index = self.probes.len();
+    /// Probes budget `p` and returns its outcome plus, on success, the
+    /// budget the extracted strategy *actually certifies* — its own
+    /// maximum pebble count (weight in weighted mode), which can undercut
+    /// `p`. The schedules use that to jump their windows below the model
+    /// instead of walking budget-by-budget down to it (model-based
+    /// upper-bound tightening).
+    pub(crate) fn probe(&mut self, p: usize) -> (Option<usize>, PebbleOutcome) {
+        let probe = self.probes.len();
+        let worker = self.worker;
         self.emit(ProbeEvent::ProbeStarted {
-            worker: self.worker,
-            probe: probe_index,
+            worker,
+            probe,
             budget: p,
         });
         let mut attempt = 0u32;
@@ -945,42 +1016,44 @@ impl MinimizeRun<'_> {
             }
             break outcome;
         };
-        let achieved = match outcome {
-            PebbleOutcome::Solved(strategy) => {
-                let used = if self.weighted {
-                    usize::try_from(strategy.max_weight(self.dag)).unwrap_or(p)
-                } else {
-                    strategy.max_pebbles(self.dag)
-                };
-                // A valid strategy never exceeds its probe budget; the
-                // `min` merely keeps a corrupt model from loosening `p`.
-                let achieved = used.min(p);
-                if self.best.as_ref().is_none_or(|&(b, _)| achieved < b) {
-                    self.best = Some((achieved, strategy));
-                }
-                Some(achieved)
+        let achieved = outcome.strategy().map(|strategy| {
+            // A valid strategy never exceeds its probe budget; the `min`
+            // merely keeps a corrupt model from loosening `p`.
+            let achieved =
+                crate::session::achieved_budget(self.dag, self.weighted, strategy).min(p);
+            if self.best.as_ref().is_none_or(|&(b, _)| achieved < b) {
+                self.best = Some((achieved, strategy.clone()));
             }
-            _ => None,
-        };
+            achieved
+        });
         self.probes.push((p, achieved.is_some()));
         self.probe_stats.push(self.prober.snapshot());
-        match achieved {
-            Some(achieved) => self.emit(ProbeEvent::ProbeSolved {
-                worker: self.worker,
-                probe: probe_index,
-                budget: p,
+        let budget = p;
+        self.emit(match (&outcome, achieved) {
+            (_, Some(achieved)) => ProbeEvent::ProbeSolved {
+                worker,
+                probe,
+                budget,
                 achieved,
-            }),
-            None => self.emit(ProbeEvent::ProbeRefuted {
-                worker: self.worker,
-                probe: probe_index,
-                budget: p,
-            }),
+            },
+            (PebbleOutcome::Timeout { .. }, None) => ProbeEvent::ProbeTimedOut {
+                worker,
+                probe,
+                budget,
+            },
+            _ => ProbeEvent::ProbeRefuted {
+                worker,
+                probe,
+                budget,
+            },
+        });
+        if achieved.is_none() {
+            self.failure = Some(outcome.clone());
         }
         if self.share_ticks {
             let snapshot = self.prober.snapshot();
             self.emit(ProbeEvent::ClauseSharingTick {
-                worker: self.worker,
+                worker,
                 imported: snapshot.imported_clauses,
                 exported: snapshot.exported_clauses,
             });
@@ -988,12 +1061,9 @@ impl MinimizeRun<'_> {
         let floor = self.shared.floor();
         if floor > self.last_floor {
             self.last_floor = floor;
-            self.emit(ProbeEvent::FloorRaised {
-                worker: self.worker,
-                floor,
-            });
+            self.emit(ProbeEvent::FloorRaised { worker, floor });
         }
-        achieved
+        (achieved, outcome)
     }
 
     fn probed(&self, p: usize) -> bool {
@@ -1007,13 +1077,13 @@ impl MinimizeRun<'_> {
         self.shared.floor()
     }
 
-    fn stopped(&self) -> bool {
+    pub(crate) fn stopped(&self) -> bool {
         self.cancel
             .as_ref()
             .is_some_and(|token| token.poll().is_some())
     }
 
-    fn finish(self) -> MinimizeResult {
+    pub(crate) fn finish(self) -> MinimizeResult {
         let (search, sat) = self.prober.totals();
         MinimizeResult {
             best: self.best,
@@ -1025,6 +1095,7 @@ impl MinimizeRun<'_> {
             step_tightenings: self.shared.step_tightenings(),
             floor_raises: self.shared.floor_raises(),
             retries: self.retries,
+            failure: self.failure,
         }
     }
 }
@@ -1091,6 +1162,7 @@ pub fn minimize(
     run_minimize_with_context(
         dag,
         options,
+        budget_window(dag, options.base.encoding.weighted),
         MinimizeContext {
             cancel,
             ..MinimizeContext::default()
@@ -1098,51 +1170,31 @@ pub fn minimize(
     )
 }
 
-/// The minimize engine under every session executor and every worker of
-/// the minimize portfolio: budgets below the blackboard's certified floor
-/// are skipped without a query, whether the floor was raised by this
-/// worker's own exhausted probes or by a rival's. Successful probes
-/// tighten from above symmetrically: the extracted strategy's *actual*
-/// pebble count (not the probed budget) becomes the new upper end of the
-/// search, so a slack model can collapse several budget steps into one
-/// probe ([`MinimizeResult::best`]).
+/// The probe loop under every session and every race worker: it walks
+/// the budget `window` — `[p, p]` for a fixed budget, which is one
+/// probe — by the configured schedule. Budgets below the blackboard's
+/// certified floor are skipped without a query, whether the floor was
+/// raised by this worker's own exhausted probes or by a rival's.
+/// Successful probes tighten from above symmetrically: the extracted
+/// strategy's *actual* pebble count (not the probed budget) becomes the
+/// new upper end of the search, so a slack model can collapse several
+/// budget steps into one probe ([`MinimizeResult::best`]).
 pub(crate) fn run_minimize_with_context(
     dag: &Dag,
     options: MinimizeOptions,
+    window: (usize, usize),
     ctx: MinimizeContext,
 ) -> MinimizeResult {
-    let weighted = options.base.encoding.weighted;
-    let lower = if weighted {
-        weighted_pebble_lower_bound(dag)
-    } else {
-        pebble_lower_bound(dag)
-    };
-    let top = if weighted {
-        usize::try_from(dag.total_weight()).expect("total weight fits usize")
-    } else {
-        dag.num_nodes()
-    };
-    let prober = Prober::new(dag, &options, &ctx);
-    let shared = prober.shared_state();
-    shared.prime_floor(lower);
-    let last_floor = shared.floor();
-    let mut run = MinimizeRun {
-        dag,
-        weighted,
-        prober,
-        shared,
-        best: None,
-        probes: Vec::new(),
-        probe_stats: Vec::new(),
-        cancel: ctx.cancel,
-        events: ctx.events,
-        worker: ctx.worker,
-        share_ticks: ctx.pool.is_some(),
-        last_floor,
-        faults: options.base.sat.faults,
-        retry: ctx.retry,
-        retries: 0,
-    };
+    let (lower, top) = window;
+    let mut run = MinimizeRun::new(dag, &options, window, ctx);
+    if lower == top {
+        // One budget: probe it even below the floor, so the outcome
+        // names why it is infeasible.
+        if !run.stopped() {
+            run.probe(lower);
+        }
+        return run.finish();
+    }
     match options.schedule {
         BudgetSchedule::Binary => {
             let (mut low, mut high) = (lower, top);
@@ -1154,7 +1206,7 @@ pub(crate) fn run_minimize_with_context(
                     break;
                 }
                 let mid = low + (high - low) / 2;
-                match run.probe(mid) {
+                match run.probe(mid).0 {
                     Some(achieved) => {
                         // The extracted strategy certifies `achieved`
                         // (≤ mid); resume strictly below *it*.
@@ -1176,7 +1228,7 @@ pub(crate) fn run_minimize_with_context(
                 if run.stopped() || p < run.floor() {
                     break;
                 }
-                let Some(achieved) = run.probe(p) else {
+                let Some(achieved) = run.probe(p).0 else {
                     failed_at = Some(p);
                     break;
                 };
@@ -1200,7 +1252,7 @@ pub(crate) fn run_minimize_with_context(
                 let failed_floor = failed_at.map_or(0, |p| p + 1);
                 while current > run.floor().max(failed_floor) && !run.stopped() {
                     let next = current - 1;
-                    match run.probe(next) {
+                    match run.probe(next).0 {
                         Some(achieved) => current = achieved.min(next),
                         None => break,
                     }
@@ -1228,8 +1280,11 @@ mod tests {
             .run()
             .expect("valid pebbling configuration");
         match report.outcome {
-            SessionOutcome::Single(outcome) => outcome,
-            _ => unreachable!("a fixed-budget session drives the single engine"),
+            SessionOutcome::Minimize(result) => match result.best {
+                Some((_, strategy)) => PebbleOutcome::Solved(strategy),
+                None => result.failure.expect("a failed probe names its outcome"),
+            },
+            _ => unreachable!("a fixed-budget session runs one worker"),
         }
     }
 

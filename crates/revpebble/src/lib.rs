@@ -147,10 +147,10 @@ pub mod prelude {
     pub use crate::core::{
         minimize, AdmitGuard, BatchReport, BatchSession, BudgetSchedule, CancelReason, CancelToken,
         CardEncoding, EncodingOptions, Engine, Executor, FaultKind, FaultPlan, FaultSite,
-        Heartbeat, MinimizeResult, Move, MoveMode, PebbleOutcome, PebbleSolver, PebblingSession,
-        PortfolioOutcome, PortfolioSolver, ProbeEvent, Report, ResultCache, RetryPolicy,
-        SessionError, SessionHandle, SessionOutcome, SessionRuntime, ShareOptions,
-        SharedClausePool, SharedSearchState, SolverOptions, StopReason, Strategy,
+        Heartbeat, MinimizePortfolioOutcome, MinimizeResult, Move, MoveMode, PebbleOutcome,
+        PebbleSolver, PebblingSession, ProbeEvent, Report, ResultCache, RetryPolicy, SessionError,
+        SessionHandle, SessionOutcome, SessionRuntime, ShareOptions, SharedClausePool,
+        SharedSearchState, SolverOptions, StopReason, Strategy,
     };
     pub use crate::graph::{parse_bench, Dag, NodeId, Op, Slp, Source};
 }
@@ -172,5 +172,10 @@ mod tests {
         let report = PebblingSession::new(&dag).pebbles(4).run().expect("valid");
         assert_eq!(report.engine, Engine::Single);
         assert_eq!(report.minimum, Some(4));
+        // A fixed budget is the one-probe window [4, 4].
+        let SessionOutcome::Minimize(result) = &report.outcome else {
+            panic!("a fixed-budget session runs one worker");
+        };
+        assert_eq!(result.probes, vec![(4, true)]);
     }
 }

@@ -22,7 +22,7 @@
 //! | `incremental`  | bool              | keep one solver across probes                   |
 //! | `weighted`     | bool              | budget counts weight units                      |
 //! | `max_steps`    | integer           | step cap per probe                              |
-//! | `timeout_ms`   | integer           | per-SAT-query timeout (default 10 000)          |
+//! | `timeout_ms`   | integer           | per-probe timeout; a fixed budget is one probe (default 10 000) |
 //! | `deadline_ms`  | integer           | wall deadline for the whole request             |
 //! | `quota`        | integer           | SAT-conflict quota for the request              |
 //!

@@ -37,10 +37,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .pebbles(budget)
             .move_mode(MoveMode::Sequential)
             .steps(revpebble::core::StepSchedule::ExponentialRefine)
-            .timeout(std::time::Duration::from_secs(30))
+            .per_query_timeout(std::time::Duration::from_secs(30))
             .run()?;
-        let revpebble::core::SessionOutcome::Single(outcome) = report.outcome else {
-            unreachable!("a fixed-budget session drives the single engine");
+        // A fixed budget is a one-probe window: its record holds the
+        // strategy or the outcome that stopped the probe.
+        let revpebble::core::SessionOutcome::Minimize(result) = report.outcome else {
+            unreachable!("a fixed-budget session runs one worker");
+        };
+        let outcome = match result.best {
+            Some((_, strategy)) => PebbleOutcome::Solved(strategy),
+            None => result.failure.expect("a failed probe names its outcome"),
         };
         match outcome {
             PebbleOutcome::Solved(strategy) => {

@@ -51,8 +51,12 @@ proptest! {
             .pebbles(budget)
             .run()
             .expect("a valid configuration");
-        let SessionOutcome::Single(outcome) = report.outcome else {
-            panic!("a fixed-budget session drives the single engine");
+        let SessionOutcome::Minimize(result) = report.outcome else {
+            panic!("a fixed-budget session runs one worker");
+        };
+        let outcome = match result.best {
+            Some((_, strategy)) => PebbleOutcome::Solved(strategy),
+            None => result.failure.expect("a failed probe names its outcome"),
         };
         match outcome {
             PebbleOutcome::Solved(strategy) => {

@@ -14,8 +14,8 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use revpebble::core::{
-    BudgetSchedule, Executor, MinimizeResult, PebblingSession, ResultCache, SessionOutcome,
-    SolverOptions,
+    BudgetSchedule, EncodingOptions, Executor, MinimizeResult, PebbleSolver, PebblingSession,
+    ResultCache, SessionOutcome, SolverOptions,
 };
 use revpebble::graph::generators::random_dag;
 use revpebble::graph::Dag;
@@ -96,12 +96,36 @@ proptest! {
             .pebbles(budget)
             .run()
             .expect("a valid configuration");
-        let SessionOutcome::Single(blocking) = &report.outcome else {
-            panic!("a fixed-budget session drives the single engine");
+        let SessionOutcome::Minimize(blocking) = &report.outcome else {
+            panic!("a fixed-budget session runs one worker");
         };
-        let solved = |o: &PebbleOutcome| matches!(o, PebbleOutcome::Solved(_));
-        if let PebbleOutcome::Solved(strategy) = blocking {
+        prop_assert_eq!(blocking.probes.len(), 1, "a fixed budget is one probe");
+        if let Some((_, strategy)) = &blocking.best {
             prop_assert!(strategy.validate(&dag, Some(budget)).is_ok());
+        }
+
+        // The one-probe window runs what the reference solver runs: the
+        // same solvability and the same step count.
+        let reference = PebbleSolver::new(
+            &dag,
+            SolverOptions {
+                encoding: EncodingOptions {
+                    max_pebbles: Some(budget),
+                    ..EncodingOptions::default()
+                },
+                ..SolverOptions::default()
+            },
+        )
+        .solve();
+        let steps = |strategy: Option<&revpebble::core::Strategy>| {
+            strategy.map(revpebble::core::Strategy::num_steps)
+        };
+        prop_assert_eq!(
+            steps(blocking.best.as_ref().map(|(_, s)| s)),
+            steps(reference.strategy())
+        );
+        if !matches!(reference, PebbleOutcome::Solved(_)) {
+            prop_assert_eq!(blocking.failure.as_ref(), Some(&reference));
         }
 
         // The same session handed to a shared pool answers identically.
@@ -113,10 +137,10 @@ proptest! {
             .join();
         prop_assert_eq!(spawned.minimum, report.minimum);
         prop_assert_eq!(spawned.floor, report.floor);
-        let SessionOutcome::Single(off_thread) = &spawned.outcome else {
+        let SessionOutcome::Minimize(off_thread) = &spawned.outcome else {
             panic!("the spawned session drives the same engine");
         };
-        prop_assert_eq!(solved(blocking), solved(off_thread));
+        prop_assert_eq!(blocking.best.is_some(), off_thread.best.is_some());
 
         // A cached replay serves the identical answer without solving.
         let cache = Arc::new(ResultCache::default());
@@ -175,21 +199,19 @@ proptest! {
             .pebbles(budget)
             .run()
             .expect("a valid configuration");
-        let SessionOutcome::Single(single_outcome) = &single_report.outcome else {
-            panic!("a fixed-budget session drives the single engine");
+        let SessionOutcome::Minimize(single_outcome) = &single_report.outcome else {
+            panic!("a fixed-budget session runs one worker");
         };
         let report = PebblingSession::new(&dag)
             .pebbles(budget)
             .portfolio(2)
             .run()
             .expect("a valid configuration");
-        let SessionOutcome::Portfolio(race) = &report.outcome else {
-            panic!("a fixed-budget portfolio session drives the race engine");
+        let SessionOutcome::MinimizePortfolio(race) = &report.outcome else {
+            panic!("a fixed-budget portfolio session races its workers");
         };
-        prop_assert_eq!(
-            matches!(single_outcome, PebbleOutcome::Solved(_)),
-            matches!(race.outcome, PebbleOutcome::Solved(_))
-        );
+        prop_assert_eq!(single_outcome.best.is_some(), race.best.is_some());
+        prop_assert_eq!(race.workers.len(), 2);
 
         // Cooperative minimize race: the shared portfolio and the
         // single-worker incremental engine certify the same minimum in

@@ -171,6 +171,29 @@ fn request_quotas_are_enforced_over_the_wire() {
 }
 
 #[test]
+fn a_fixed_budget_request_honors_its_timeout() {
+    // A fixed budget is one probe, so `timeout_ms` bounds the whole
+    // solve: 16 pebbles on the 59-node b3_m4 SLP are not decided in
+    // 200 ms, and the daemon must say so instead of solving on.
+    let server = start(ServeConfig::default());
+    let started = Instant::now();
+    let response = submit_frame(
+        server.addr,
+        r#"{"dag":"b3_m4","pebbles":16,"timeout_ms":200}"#,
+        Duration::from_secs(60),
+    )
+    .expect("a response line");
+    let waited = started.elapsed();
+    assert!(
+        waited < Duration::from_secs(5),
+        "a 200 ms probe answered after {waited:?}: {response}"
+    );
+    assert_eq!(status_of(&response), "ok");
+    assert!(response.contains("\"minimum\":null"), "{response}");
+    server.finish();
+}
+
+#[test]
 fn a_malformed_frame_answers_an_error_and_the_connection_survives() {
     let server = start(ServeConfig::default());
     let mut client = Client::connect(server.addr).expect("connect");

@@ -51,7 +51,8 @@ fn assert_stream_invariants(report: &Report, events: &[ProbeEvent]) {
         let (worker, probe, started) = match *event {
             ProbeEvent::ProbeStarted { worker, probe, .. } => (worker, probe, true),
             ProbeEvent::ProbeSolved { worker, probe, .. }
-            | ProbeEvent::ProbeRefuted { worker, probe, .. } => (worker, probe, false),
+            | ProbeEvent::ProbeRefuted { worker, probe, .. }
+            | ProbeEvent::ProbeTimedOut { worker, probe, .. } => (worker, probe, false),
             _ => continue,
         };
         if let Some(&previous) = last_probe.get(&worker) {
