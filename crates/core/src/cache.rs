@@ -11,7 +11,19 @@
 //! the same entry — with a hash of the session plan (engine, solver
 //! options, budgets), because the *answer* ("minimum = 4, floor = 4")
 //! depends on both the instance and how hard the session was allowed to
-//! look for it. A cache is only consulted when explicitly installed via
+//! look for it.
+//!
+//! A fingerprint match says two DAGs pose the same problem, not that
+//! they number their nodes alike, and it is not a proof of isomorphism.
+//! So a hit is *replayed*, never handed out verbatim: every cached
+//! strategy is renumbered through [`Dag::isomorphism_to`] (a verified
+//! node match from the cached DAG onto the requesting one) and checked
+//! with [`Strategy::validate`] on the requesting DAG under the budget it
+//! certifies. A DAG that cannot be matched, or a strategy that fails the
+//! check, turns the hit into a miss: the session solves afresh and its
+//! result replaces the entry.
+//!
+//! A cache is only consulted when explicitly installed via
 //! [`PebblingSession::result_cache`](crate::session::PebblingSession::result_cache)
 //! or a [`BatchSession`](crate::session::BatchSession); sessions without
 //! one behave bit-identically to a cache-free build.
@@ -19,9 +31,12 @@
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+
+use revpebble_graph::Dag;
 
 use crate::session::SessionOutcome;
+use crate::strategy::Strategy;
 
 /// A result-cache key: canonical DAG fingerprint × session-plan hash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -40,8 +55,62 @@ pub(crate) struct CachedReport {
     pub minimum: Option<usize>,
     /// The certified budget floor.
     pub floor: usize,
-    /// The full engine outcome (strategy included).
+    /// The full engine outcome (strategy included), in the node
+    /// numbering of [`dag`](Self::dag).
     pub outcome: SessionOutcome,
+    /// The DAG the outcome was solved on.
+    pub dag: Arc<Dag>,
+}
+
+impl CachedReport {
+    /// This result in the node numbering of `dag`: every strategy
+    /// renumbered through the node match and validated on `dag` under
+    /// the budget it certifies (`weighted` picks the pebble rule).
+    /// `None` when the DAGs cannot be matched or a strategy fails.
+    fn replay_onto(mut self, dag: &Dag, weighted: bool) -> Option<CachedReport> {
+        // A resubmitted DAG needs no match, so it never misses for
+        // want of one.
+        let map = if *self.dag == *dag {
+            None
+        } else {
+            Some(self.dag.isomorphism_to(dag)?)
+        };
+        for (budget, strategy) in strategies_mut(&mut self.outcome) {
+            if let Some(map) = &map {
+                *strategy = strategy.renumbered(map);
+            }
+            let checked = if weighted {
+                strategy.validate_weighted(dag, Some(budget as u64))
+            } else {
+                strategy.validate(dag, Some(budget))
+            };
+            checked.ok()?;
+        }
+        Some(self)
+    }
+}
+
+/// Every strategy `outcome` carries, with the budget it was found under.
+fn strategies_mut(outcome: &mut SessionOutcome) -> Vec<(usize, &mut Strategy)> {
+    fn best(best: &mut Option<(usize, Strategy)>) -> Option<(usize, &mut Strategy)> {
+        best.as_mut().map(|(budget, strategy)| (*budget, strategy))
+    }
+    match outcome {
+        SessionOutcome::Minimize(result) => best(&mut result.best).into_iter().collect(),
+        SessionOutcome::MinimizePortfolio(race) => best(&mut race.best)
+            .into_iter()
+            .chain(
+                race.workers
+                    .iter_mut()
+                    .filter_map(|worker| best(&mut worker.result.best)),
+            )
+            .collect(),
+        SessionOutcome::Frontier(points) => points
+            .iter_mut()
+            .filter_map(|point| Some((point.pebbles, point.strategy.as_mut()?)))
+            .collect(),
+        SessionOutcome::Aborted => Vec::new(),
+    }
 }
 
 /// A bounded FIFO map from `CacheKey` to finished results with
@@ -93,14 +162,18 @@ impl ResultCache {
         self.len() == 0
     }
 
-    pub(crate) fn lookup(&self, key: &CacheKey) -> Option<CachedReport> {
-        let found = self
+    /// The cached result for `key`, replayed onto `dag` (see the
+    /// [module docs](self)); a result that does not replay counts as a
+    /// miss.
+    pub(crate) fn lookup(&self, key: &CacheKey, dag: &Dag, weighted: bool) -> Option<CachedReport> {
+        let entry = self
             .inner
             .lock()
             .expect("result cache")
             .map
             .get(key)
             .cloned();
+        let found = entry.and_then(|entry| entry.replay_onto(dag, weighted));
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -141,6 +214,7 @@ impl Default for ResultCache {
 mod tests {
     use super::*;
     use crate::solver::MinimizeResult;
+    use revpebble_graph::generators::paper_example;
 
     fn key(n: u64) -> CacheKey {
         CacheKey {
@@ -157,21 +231,40 @@ mod tests {
                 floor,
                 ..MinimizeResult::default()
             }),
+            dag: Arc::new(paper_example()),
         }
+    }
+
+    fn lookup(cache: &ResultCache, key: &CacheKey) -> Option<CachedReport> {
+        cache.lookup(key, &paper_example(), false)
     }
 
     #[test]
     fn hit_and_miss_counters_track_lookups() {
         let cache = ResultCache::new(4);
-        assert!(cache.lookup(&key(1)).is_none());
+        assert!(lookup(&cache, &key(1)).is_none());
         cache.insert(key(1), report(3));
-        let hit = cache.lookup(&key(1)).expect("cached");
+        let hit = lookup(&cache, &key(1)).expect("cached");
         assert_eq!(hit.floor, 3);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         // Same DAG, different plan hash: a distinct entry.
         let other_plan = CacheKey { plan: 8, ..key(1) };
-        assert!(cache.lookup(&other_plan).is_none());
+        assert!(lookup(&cache, &other_plan).is_none());
         assert_eq!(cache.misses(), 2);
+    }
+
+    #[test]
+    fn a_strategy_that_fails_on_the_requesting_dag_is_a_miss() {
+        let cache = ResultCache::new(4);
+        // An empty strategy never ends on the output set.
+        let mut broken = report(4);
+        broken.outcome = SessionOutcome::Minimize(MinimizeResult {
+            best: Some((4, Strategy::default())),
+            ..MinimizeResult::default()
+        });
+        cache.insert(key(1), broken);
+        assert!(lookup(&cache, &key(1)).is_none());
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
     }
 
     #[test]
@@ -181,9 +274,9 @@ mod tests {
         cache.insert(key(2), report(2));
         cache.insert(key(3), report(3));
         assert_eq!(cache.len(), 2);
-        assert!(cache.lookup(&key(1)).is_none(), "oldest entry evicted");
-        assert!(cache.lookup(&key(2)).is_some());
-        assert!(cache.lookup(&key(3)).is_some());
+        assert!(lookup(&cache, &key(1)).is_none(), "oldest entry evicted");
+        assert!(lookup(&cache, &key(2)).is_some());
+        assert!(lookup(&cache, &key(3)).is_some());
     }
 
     #[test]
@@ -192,7 +285,7 @@ mod tests {
         cache.insert(key(1), report(1));
         cache.insert(key(1), report(9));
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.lookup(&key(1)).expect("cached").floor, 9);
+        assert_eq!(lookup(&cache, &key(1)).expect("cached").floor, 9);
     }
 
     #[test]

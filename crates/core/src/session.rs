@@ -55,7 +55,7 @@
 //!   [`stop_reason`](Report::stop_reason) names the cause.
 //! - [`PebblingSession::spawn_on`] submits the whole session to a shared
 //!   [`Executor`] and returns a [`SessionHandle`] (join / cancel /
-//!   try_report) instead of blocking.
+//!   try_report / wait_report) instead of blocking.
 //! - [`BatchSession`] serves many DAGs over one worker pool with
 //!   per-session conflict quotas and a shared [`ResultCache`] keyed by
 //!   [`Dag::canonical_fingerprint`], so repeated instances skip the
@@ -1268,7 +1268,7 @@ fn run_with_runtime(
         plan: plan_hash(plan),
     });
     if let (Some(cache), Some(key)) = (cache.as_ref(), key.as_ref()) {
-        if let Some(hit) = cache.lookup(key) {
+        if let Some(hit) = cache.lookup(key, dag, plan.base.encoding.weighted) {
             // Served whole from the cache: no solver runs, no workers
             // report; the stream is the terminal event alone.
             if let Some(callback) = callback.as_mut() {
@@ -1399,6 +1399,7 @@ fn run_with_runtime(
                     minimum,
                     floor,
                     outcome: outcome.clone(),
+                    dag: Arc::new(dag.clone()),
                 },
             );
         }
@@ -1421,8 +1422,9 @@ fn run_with_runtime(
 
 /// A non-blocking handle to a session submitted to an [`Executor`] with
 /// [`PebblingSession::spawn_on`]: poll it ([`try_report`](Self::try_report)),
-/// stop it ([`cancel`](Self::cancel) — [`join`](Self::join) then returns
-/// the partial [`Report`] with its [`stop_reason`](Report::stop_reason)
+/// wait for it with a timeout ([`wait_report`](Self::wait_report)), stop
+/// it ([`cancel`](Self::cancel) — [`join`](Self::join) then returns the
+/// partial [`Report`] with its [`stop_reason`](Report::stop_reason)
 /// set), or block for the result ([`join`](Self::join)).
 #[derive(Debug)]
 pub struct SessionHandle {
@@ -1468,12 +1470,33 @@ impl SessionHandle {
     }
 
     /// The finished [`Report`], or `None` while the session still runs.
-    /// Never blocks.
+    /// Never blocks; [`wait_report`](Self::wait_report) with a zero
+    /// timeout.
     pub fn try_report(&mut self) -> Option<&Report> {
+        self.wait_report(Duration::ZERO)
+    }
+
+    /// Blocks until the session finishes or `timeout` elapses, whichever
+    /// comes first: the finished [`Report`], or `None` on a timeout.
+    /// The report is returned the moment it lands on the channel, so a
+    /// caller that must also watch something else (a socket, a
+    /// shutdown flag) loops on this with its own tick without delaying
+    /// the answer. A session job that died without reporting yields a
+    /// [`StopReason::WorkerPanicked`] placeholder report, never a
+    /// session that looks like it is still running. Unlike
+    /// [`join`](Self::join) there is no watchdog here: a caller that
+    /// gives up on a wedged session cancels it and hands it to `join`.
+    pub fn wait_report(&mut self, timeout: Duration) -> Option<&Report> {
         if self.report.is_none() {
-            if let Ok(report) = self.receiver.try_recv() {
-                self.report = Some(report);
-            }
+            self.report = match self.receiver.recv_timeout(timeout) {
+                Ok(report) => Some(report),
+                // The job died without reporting: its panic escaped
+                // every containment layer below.
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    Some(self.placeholder(StopReason::WorkerPanicked { count: 1 }))
+                }
+                Err(mpsc::RecvTimeoutError::Timeout) => None,
+            };
         }
         self.report.as_ref()
     }
@@ -1491,21 +1514,12 @@ impl SessionHandle {
     /// [`StopReason::Detached`] placeholder and the job's thread is
     /// left to die on its own.
     pub fn join(mut self) -> Report {
-        if let Some(report) = self.report.take() {
-            return report;
-        }
         // `None` until the token fires; then the tick count last seen
         // and when it was seen, to measure heartbeat stalls.
         let mut stalled: Option<(u64, Instant)> = None;
         loop {
-            match self.receiver.recv_timeout(WATCHDOG_POLL) {
-                Ok(report) => return report,
-                // The job died without reporting: its panic escaped
-                // every containment layer below.
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return self.placeholder(StopReason::WorkerPanicked { count: 1 })
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
+            if self.wait_report(WATCHDOG_POLL).is_some() {
+                return self.report.take().expect("wait_report keeps the report");
             }
             if self.token.poll().is_none() {
                 continue;

@@ -377,6 +377,27 @@ impl Strategy {
         }
         result
     }
+
+    /// The same strategy in another node numbering: every move on `v`
+    /// becomes the same move on `map[v.index()]` (e.g. a map from
+    /// [`Dag::isomorphism_to`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a move references a node outside `map`.
+    pub fn renumbered(&self, map: &[NodeId]) -> Strategy {
+        let renumber = |mv: &Move| match *mv {
+            Move::Pebble(v) => Move::Pebble(map[v.index()]),
+            Move::Unpebble(v) => Move::Unpebble(map[v.index()]),
+        };
+        Strategy {
+            steps: self
+                .steps
+                .iter()
+                .map(|step| step.iter().map(renumber).collect())
+                .collect(),
+        }
+    }
 }
 
 impl FromIterator<Move> for Strategy {

@@ -498,35 +498,44 @@ impl Dag {
     /// the same pebbling strategies, which is what makes the fingerprint
     /// sound as a cache key; 128 bits come from two independently salted
     /// streams so accidental collisions are out of reach for any
-    /// realistic workload.
+    /// realistic workload. The converse does not hold: a node's hash sees
+    /// only its fanin cone, not its consumers, so some non-isomorphic
+    /// DAGs share a fingerprint (two outputs reading one leaf each, or
+    /// both reading the same leaf while the other idles).
+    /// [`isomorphism_to`](Self::isomorphism_to) tells them apart.
     pub fn canonical_fingerprint(&self) -> [u64; 2] {
         const SALTS: [u64; 2] = [0x9E37_79B9_7F4A_7C15, 0xC2B2_AE3D_27D4_EB4F];
-        let mut fingerprint = [0u64; 2];
-        for (slot, &salt) in fingerprint.iter_mut().zip(&SALTS) {
-            // Bottom-up Merkle pass: ids are topological, so every child
-            // hash exists before its consumers read it.
-            let mut hashes = vec![0u64; self.nodes.len()];
-            for id in self.node_ids() {
-                let node = &self.nodes[id.index()];
-                let mut children: Vec<u64> = self.children(id).map(|c| hashes[c.index()]).collect();
-                children.sort_unstable();
-                let mut h = splitmix64(
-                    salt ^ (u64::from(node.weight) << 1) ^ u64::from(self.is_output(id)),
-                );
-                for child in children {
-                    h = splitmix64(h ^ child);
-                }
-                hashes[id.index()] = h;
-            }
+        SALTS.map(|salt| {
             // Order-invariant roll-up over the node multiset.
+            let mut hashes = self.merkle_hashes(salt);
             hashes.sort_unstable();
             let mut acc = splitmix64(salt ^ self.nodes.len() as u64);
             for h in hashes {
                 acc = splitmix64(acc ^ h);
             }
-            *slot = acc;
+            acc
+        })
+    }
+
+    /// The per-node hashes behind [`canonical_fingerprint`](Self::canonical_fingerprint):
+    /// a bottom-up Merkle pass where a node's hash covers its weight,
+    /// its output mark and the multiset of its children's hashes.
+    pub(crate) fn merkle_hashes(&self, salt: u64) -> Vec<u64> {
+        // Ids are topological, so every child hash exists before its
+        // consumers read it.
+        let mut hashes = vec![0u64; self.nodes.len()];
+        for id in self.node_ids() {
+            let node = &self.nodes[id.index()];
+            let mut children: Vec<u64> = self.children(id).map(|c| hashes[c.index()]).collect();
+            children.sort_unstable();
+            let mut h =
+                splitmix64(salt ^ (u64::from(node.weight) << 1) ^ u64::from(self.is_output(id)));
+            for child in children {
+                h = splitmix64(h ^ child);
+            }
+            hashes[id.index()] = h;
         }
-        fingerprint
+        hashes
     }
 
     /// Renders the DAG in Graphviz DOT format.
@@ -569,7 +578,7 @@ impl Dag {
 }
 
 /// SplitMix64's finalizer: a cheap, well-mixed 64-bit permutation.
-fn splitmix64(x: u64) -> u64 {
+pub(crate) fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

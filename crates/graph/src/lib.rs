@@ -39,6 +39,7 @@ pub mod builtins;
 pub mod dag;
 pub mod data;
 pub mod generators;
+mod iso;
 pub mod json;
 pub mod network;
 pub mod op;

@@ -10,6 +10,18 @@
 //!   is shed at the door with an `"overloaded"` response);
 //! - the runtime's `Executor` owns the solver worker pool.
 //!
+//! ## Waiting
+//!
+//! Nothing on the answer path sleeps. The accept loop blocks in
+//! `accept` ([`ServerHandle::shutdown`] wakes it with a throwaway
+//! connection of its own); a handler blocks on its session's report
+//! channel ([`SessionHandle::wait_report`]) and writes the answer the
+//! moment it lands. `POLL_INTERVAL` only bounds how long a waiting
+//! handler goes without peeking at its socket for a disconnect, and how
+//! long an idle connection goes without noticing a shutdown.
+//!
+//! [`SessionHandle::wait_report`]: revpebble_core::session::SessionHandle::wait_report
+//!
 //! ## Cancellation tree
 //!
 //! ```text
@@ -22,7 +34,7 @@
 //! root.
 
 use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -37,9 +49,14 @@ use crate::protocol::{
     error_response, ok_response, overloaded_response, session_error_response, Request,
 };
 
-/// How often blocked reads and in-solve polls wake up to check for
-/// shutdown, disconnects and finished reports.
+/// How quickly an idle connection notices a shutdown, and a request
+/// waiting on its session notices that its client disconnected. It
+/// never delays an answer: a finished report is written the moment it
+/// lands.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
+/// How long [`ServerHandle::shutdown`]'s wake-up connection may take.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Everything the daemon needs to bind: address, pool sizes, limits.
 #[derive(Debug, Clone)]
@@ -146,6 +163,9 @@ struct Counters {
 
 struct ServerState {
     shutdown: AtomicBool,
+    /// Where [`ServerHandle::shutdown`] connects to wake the blocking
+    /// accept loop.
+    wake_addr: SocketAddr,
     runtime: SessionRuntime,
     faults: FaultPlan,
     default_quota: Option<u64>,
@@ -184,9 +204,16 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// Asks the daemon to shut down gracefully: stop accepting, let
     /// connections finish their current request, drain in-flight
-    /// sessions, then return from [`Server::run`].
+    /// sessions, then return from [`Server::run`]. The accept loop
+    /// blocks in `accept`, so this also opens one throwaway connection
+    /// to the daemon's own address to wake it; that connection is
+    /// dropped unserved and counted nowhere.
     pub fn shutdown(&self) {
         self.state.shutdown.store(true, Ordering::SeqCst);
+        // A failed wake-up means the listener is already gone or
+        // unreachable, and then nobody is blocked in `accept` on it
+        // either way.
+        let _ = TcpStream::connect_timeout(&self.state.wake_addr, WAKE_TIMEOUT);
     }
 
     /// `true` once [`shutdown`](Self::shutdown) has been requested.
@@ -227,14 +254,23 @@ impl Server {
             .map_err(|err| ServeError::Config(err.to_string()))?
             .max_in_flight(config.max_pending);
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
+        // A listener bound to the unspecified address accepts on
+        // loopback too, and loopback is always reachable.
+        let mut wake_addr = local_addr;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         Ok(Server {
             listener,
             local_addr,
             connections: config.connections,
             state: Arc::new(ServerState {
                 shutdown: AtomicBool::new(false),
+                wake_addr,
                 runtime,
                 faults: config.faults,
                 default_quota: config.quota,
@@ -292,8 +328,11 @@ impl Server {
             })
             .collect();
 
+        // `accept` blocks; `ServerHandle::shutdown` wakes it with a
+        // connection of its own, which is dropped here unserved.
         while !self.state.shutting_down() {
             match self.listener.accept() {
+                Ok(_) if self.state.shutting_down() => break,
                 Ok((stream, _)) => {
                     if let Err(
                         mpsc::TrySendError::Full(stream) | mpsc::TrySendError::Disconnected(stream),
@@ -305,15 +344,12 @@ impl Server {
                             .overloaded
                             .fetch_add(1, Ordering::SeqCst);
                         let mut stream = stream;
-                        // The accepted socket may have inherited the
-                        // listener's non-blocking flag (BSD/macOS); a
-                        // blocking write must not fail with WouldBlock.
-                        let _ = stream.set_nonblocking(false);
                         let _ = stream.write_all(overloaded_response("connection").as_bytes());
                         let _ = stream.write_all(b"\n");
                     }
                 }
-                Err(err) if err.kind() == ErrorKind::WouldBlock => thread::sleep(POLL_INTERVAL),
+                // Transient accept failures (a reset before accept, fd
+                // exhaustion): back off one tick instead of spinning.
                 Err(_) => thread::sleep(POLL_INTERVAL),
             }
         }
@@ -399,12 +435,6 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
         return;
     }
     let _ = stream.set_nodelay(true);
-    // On BSD/macOS an accepted socket inherits the listener's
-    // non-blocking flag, which would defeat the read timeout below and
-    // turn the poll loops into busy-spins.
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
     if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
         return;
     }
@@ -454,7 +484,7 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
         // Quarantine: one poisoned request (e.g. the `serve.request`
         // panic fail point) answers an error and the connection lives.
         match catch_unwind(AssertUnwindSafe(|| {
-            handle_request(state, &connection_token, request, &mut writer)
+            handle_request(state, &connection_token, request, &writer)
         })) {
             Ok(RequestOutcome::Answered(response)) => {
                 if !write_response(&mut writer, &response) {
@@ -491,7 +521,7 @@ fn handle_request(
     state: &Arc<ServerState>,
     connection_token: &CancelToken,
     request: Request,
-    stream: &mut TcpStream,
+    stream: &TcpStream,
 ) -> RequestOutcome {
     // Fail point `serve.request`: panics unwind into the quarantine in
     // `handle_connection`; a transient fault sheds the request.
@@ -583,45 +613,22 @@ fn handle_request(
         }
     };
 
-    // Wait for the report, watching the socket: a half-closed peer
+    // Wait for the report, blocking on the session's report channel so
+    // the answer goes out the moment it lands. Once per tick without
+    // news, a non-blocking peek checks the socket: a half-closed peer
     // (peek reads 0) means the client is gone, so cancel the session
     // and free its slot instead of solving for nobody.
     let mut client_gone = false;
-    let mut peek_buf = [0u8; 1];
-    loop {
-        if handle.try_report().is_some() {
+    while handle.wait_report(POLL_INTERVAL).is_none() {
+        if peer_closed(stream) {
+            client_gone = true;
+            handle.cancel();
             break;
         }
-        if !client_gone {
-            match stream.peek(&mut peek_buf) {
-                Ok(0) => {
-                    client_gone = true;
-                    handle.cancel();
-                }
-                Ok(_) => {
-                    // Pipelined data is waiting; the client is alive.
-                    thread::sleep(POLL_INTERVAL);
-                }
-                Err(err)
-                    if matches!(
-                        err.kind(),
-                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                    ) =>
-                {
-                    // peek honors the read timeout: this arm is the
-                    // steady-state "no news" tick.
-                }
-                Err(_) => {
-                    client_gone = true;
-                    handle.cancel();
-                }
-            }
-        } else {
-            thread::sleep(POLL_INTERVAL);
-        }
     }
-    // join() returns the ready report immediately (and owns watchdog
-    // detach if a worker wedges during drain).
+    // join() returns a ready report immediately; after a disconnect it
+    // waits for the cancelled session, and its watchdog detaches a job
+    // that wedges instead of stopping.
     let report = handle.join();
 
     if client_gone {
@@ -635,6 +642,24 @@ fn handle_request(
     }
     state.counters.ok.fetch_add(1, Ordering::SeqCst);
     RequestOutcome::Answered(ok_response(&request.name, &report))
+}
+
+/// `true` when the peer has closed its side of `stream` (or the socket
+/// failed); pipelined data or no news at all mean it is alive. The peek
+/// never blocks, and the stream is back in blocking mode afterwards.
+fn peer_closed(stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return true;
+    }
+    let peeked = stream.peek(&mut [0u8; 1]);
+    if stream.set_nonblocking(false).is_err() {
+        return true;
+    }
+    match peeked {
+        Ok(0) => true,
+        Ok(_) => false,
+        Err(err) => !matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted),
+    }
 }
 
 /// Best-effort panic payload rendering (the common `&str` / `String`

@@ -204,6 +204,32 @@ fn a_batch_retry_recovers_a_panicked_session() {
 }
 
 #[test]
+fn a_session_job_that_dies_is_reported_not_left_running() {
+    // The job panics on entry and drops its report channel. Polling and
+    // bounded waits must read that as the placeholder report, not as a
+    // session that is still running.
+    let plan = FaultPlan::inject(FaultSite::ExecJob, FaultKind::Panic, 0);
+    let executor = Arc::new(Executor::new(1));
+    let mut handle = PebblingSession::new(&paper_example())
+        .solver_options(base_with(plan))
+        .pebbles(PAPER_MINIMUM)
+        .spawn_on(&executor)
+        .expect("valid configuration");
+    let report = handle
+        .wait_report(Duration::from_secs(30))
+        .expect("a dead job is a finished session");
+    assert!(
+        matches!(report.stop_reason, Some(StopReason::WorkerPanicked { .. })),
+        "{report:?}"
+    );
+    assert!(handle.try_report().is_some());
+    assert!(matches!(
+        handle.join().stop_reason,
+        Some(StopReason::WorkerPanicked { .. })
+    ));
+}
+
+#[test]
 fn the_watchdog_detaches_from_a_wedged_session() {
     // A 10s entry delay wedges the job before any solver runs (the
     // heartbeat never ticks). The session deadline fires at 50ms; after

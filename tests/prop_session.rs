@@ -5,7 +5,9 @@
 //! cooperative portfolio cross-check each other. The session runtime
 //! must be invisible to the answers: a session replayed through a
 //! `ResultCache` and a session spawned onto a shared `Executor` report
-//! exactly what the blocking run reports. Probes run in the decisive
+//! exactly what the blocking run reports, and a cache hit for a
+//! renumbered copy of a cached DAG replays a strategy that is valid on
+//! the copy. Probes run in the decisive
 //! regime (generous budgets, adequate step caps) so the answers are
 //! theorems, not clock races.
 
@@ -18,7 +20,7 @@ use revpebble::core::{
     ResultCache, SessionOutcome, SolverOptions,
 };
 use revpebble::graph::generators::random_dag;
-use revpebble::graph::Dag;
+use revpebble::graph::{Dag, NodeId, Source};
 use revpebble::prelude::{PebbleOutcome, ShareOptions};
 
 const PER_QUERY: Duration = Duration::from_secs(60);
@@ -239,6 +241,96 @@ proptest! {
             prop_assert_eq!(shared_report.minimum, minimum(&single.best));
             if let Some((p, strategy)) = &shared.best {
                 prop_assert!(strategy.validate(&dag, Some(*p)).is_ok());
+            }
+        }
+    }
+}
+
+/// An isomorphic copy of `dag` with its nodes renumbered along a random
+/// topological order drawn from `seed` (weights, output marks and fanins
+/// travel with their nodes).
+fn relabeled(dag: &Dag, mut seed: u64) -> Dag {
+    let mut next = move || {
+        seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (seed ^ (seed >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB) >> 1
+    };
+    let mut placed: Vec<Option<NodeId>> = vec![None; dag.num_nodes()];
+    let mut copy = Dag::new();
+    for name in dag.input_names() {
+        copy.add_input(name.clone());
+    }
+    for _ in 0..dag.num_nodes() {
+        let ready: Vec<NodeId> = dag
+            .node_ids()
+            .filter(|&v| {
+                placed[v.index()].is_none() && dag.children(v).all(|c| placed[c.index()].is_some())
+            })
+            .collect();
+        let pick = ready[(next() % ready.len() as u64) as usize];
+        let node = dag.node(pick);
+        let fanins: Vec<Source> = node
+            .fanins
+            .iter()
+            .map(|source| match source {
+                Source::Node(child) => Source::Node(placed[child.index()].expect("placed")),
+                input => *input,
+            })
+            .collect();
+        let id = copy
+            .add_node_weighted(format!("r{}", pick.index()), node.op, fanins, node.weight)
+            .expect("fanins precede");
+        placed[pick.index()] = Some(id);
+    }
+    for &output in dag.outputs() {
+        copy.mark_output(placed[output.index()].expect("placed"));
+    }
+    copy
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn cache_hits_on_relabeled_dags_replay_valid_strategies(
+        inputs in 2usize..5,
+        nodes in 3usize..12,
+        seed in any::<u64>(),
+        relabel_seed in any::<u64>(),
+    ) {
+        let dag = random_dag(inputs, nodes, seed);
+        let budget = dag.num_nodes().max(1);
+        let base = decisive_base(dag.num_nodes());
+        // A fixed budget, a minimize run and a fixed-budget race: the
+        // three outcome shapes a replay renumbers.
+        let sessions: [fn(&Dag, usize) -> PebblingSession<'_>; 3] = [
+            |dag, budget| PebblingSession::new(dag).pebbles(budget),
+            |dag, _| PebblingSession::new(dag).minimize(),
+            |dag, budget| PebblingSession::new(dag).pebbles(budget).portfolio(2),
+        ];
+        for session in sessions {
+            let cache = Arc::new(ResultCache::default());
+            let first = session(&dag, budget)
+                .solver_options(base)
+                .per_query_timeout(PER_QUERY)
+                .result_cache(Arc::clone(&cache))
+                .run()
+                .expect("a valid configuration");
+            prop_assert!(first.minimum.is_some(), "{budget} pebbles always suffice");
+            for copy_seed in 0..4u64 {
+                let copy = relabeled(&dag, relabel_seed ^ copy_seed);
+                let replay = session(&copy, budget)
+                    .solver_options(base)
+                    .per_query_timeout(PER_QUERY)
+                    .result_cache(Arc::clone(&cache))
+                    .run()
+                    .expect("a valid configuration");
+                // A renumbered copy is the same problem: it must hit, and
+                // the replayed strategy must be valid on the copy itself.
+                prop_assert_eq!((replay.cache_hits, replay.cache_misses), (1, 0));
+                prop_assert_eq!(replay.minimum, first.minimum);
+                let strategy = replay.strategy().expect("a hit replays the strategy");
+                prop_assert!(strategy.validate(&copy, replay.minimum).is_ok());
             }
         }
     }

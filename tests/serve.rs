@@ -387,3 +387,98 @@ fn hostile_request_names_round_trip_through_the_wire() {
     assert_eq!(value.get("name").and_then(|n| n.as_str()), Some(name));
     server.finish();
 }
+
+#[test]
+fn a_request_whose_session_job_dies_is_answered_not_lost() {
+    // Seed 0: the first session job panics before it can report. The
+    // handler must see the dead report channel and answer with the
+    // placeholder report instead of waiting forever.
+    let server = start(ServeConfig {
+        faults: FaultPlan::inject(FaultSite::ExecJob, FaultKind::Panic, 0),
+        ..ServeConfig::default()
+    });
+    let started = Instant::now();
+    let response = submit_frame(
+        server.addr,
+        r#"{"dag":"paper","pebbles":4}"#,
+        Duration::from_secs(10),
+    )
+    .expect("the request must be answered");
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "answered after {:?}",
+        started.elapsed()
+    );
+    assert_eq!(status_of(&response), "ok");
+    assert!(
+        response.contains("\"stop_reason\":\"worker-panicked\""),
+        "{response}"
+    );
+    // The daemon lives on: the fail point fires once per process.
+    let healed = submit_frame(
+        server.addr,
+        &fast_request("healed").to_json(),
+        Duration::from_secs(60),
+    )
+    .expect("a response line");
+    assert!(healed.contains("\"stop_reason\":null"), "{healed}");
+    server.finish();
+}
+
+/// The median of `samples`.
+fn median(mut samples: Vec<Duration>) -> Duration {
+    samples.sort();
+    samples[samples.len() / 2]
+}
+
+#[test]
+fn warm_hits_on_a_persistent_connection_answer_without_a_poll_tick() {
+    let server = start(ServeConfig::default());
+    let mut client = Client::connect(server.addr).expect("connect");
+    let cold = client.send(&fast_request("cold")).expect("response");
+    assert_eq!(status_of(&cold), "ok");
+    let round_trips: Vec<Duration> = (0..20)
+        .map(|index| {
+            let started = Instant::now();
+            let warm = client
+                .send(&fast_request(&format!("warm-{index}")))
+                .expect("response");
+            let took = started.elapsed();
+            assert_eq!(status_of(&warm), "ok");
+            took
+        })
+        .collect();
+    let stats = server.finish();
+    assert!(stats.cache_hits >= 20, "{stats:?}");
+    // The handler's poll tick is 25 ms; a cache hit that waited for it
+    // would take at least that long.
+    let typical = median(round_trips);
+    assert!(
+        typical < Duration::from_millis(10),
+        "median warm round trip {typical:?}"
+    );
+}
+
+#[test]
+fn one_shot_submits_are_accepted_without_a_poll_tick() {
+    let server = start(ServeConfig::default());
+    let frame = fast_request("one-shot").to_json();
+    submit_frame(server.addr, &frame, Duration::from_secs(60)).expect("a cold response");
+    let round_trips: Vec<Duration> = (0..20)
+        .map(|_| {
+            let started = Instant::now();
+            let response =
+                submit_frame(server.addr, &frame, Duration::from_secs(60)).expect("a response");
+            let took = started.elapsed();
+            assert_eq!(status_of(&response), "ok");
+            took
+        })
+        .collect();
+    let stats = server.finish();
+    assert_eq!(stats.connections, 21, "{stats:?}");
+    let typical = median(round_trips);
+    assert!(
+        typical < Duration::from_millis(10),
+        "median one-shot round trip {typical:?}"
+    );
+}
